@@ -3,7 +3,8 @@
 // across shard counts and thread counts. Each cell reports wall-clock,
 // throughput (rows/sec), and peak RSS, plus the shard accounting
 // (groups formed, slabs merged by boundary repair) — the numbers the
-// README's Scaling section quotes.
+// README's Scaling section quotes — and the per-stage seconds and pool
+// task count of the formation profile.
 //
 // Machine-independent properties are hard CHECKs, not reports:
 //   - sharded P = 1 at 100K reproduces the pinned golden EC-structure
@@ -106,10 +107,9 @@ struct ScaleCell {
   double rows_per_sec = 0.0;
   int64_t peak_rss_kb = 0;
   int64_t ecs = 0;
-  int groups = 0;
-  int merged_slabs = 0;
   double ail = 0.0;
   uint64_t hash = 0;
+  ShardStats profile;
 };
 
 // The 100K determinism gate: sharded P = 1 must be the serial
@@ -145,15 +145,22 @@ void WriteJson(const std::string& path, int64_t max_rows, double beta,
   std::fprintf(f, "  \"cells\": [\n");
   for (size_t i = 0; i < cells.size(); ++i) {
     const ScaleCell& c = cells[i];
+    const ShardStats& p = c.profile;
     std::fprintf(
         f,
         "    {\"rows\": %lld, \"shards\": %d, \"threads\": %d, "
         "\"seconds\": %.6f, \"rows_per_sec\": %.1f, "
         "\"peak_rss_kb\": %lld, \"ecs\": %lld, \"groups\": %d, "
-        "\"merged_slabs\": %d, \"ail\": %.15f}%s\n",
+        "\"merged_slabs\": %d, \"ail\": %.15f, \"encode_s\": %.6f, "
+        "\"sort_s\": %.6f, \"gather_s\": %.6f, \"repair_s\": %.6f, "
+        "\"form_s\": %.6f, \"sweep_s\": %.6f, \"axis_s\": %.6f, "
+        "\"partition_s\": %.6f, \"parallel_tasks\": %lld}%s\n",
         static_cast<long long>(c.rows), c.shards, c.threads, c.seconds,
         c.rows_per_sec, static_cast<long long>(c.peak_rss_kb),
-        static_cast<long long>(c.ecs), c.groups, c.merged_slabs, c.ail,
+        static_cast<long long>(c.ecs), p.groups, p.merged_slabs, c.ail,
+        p.encode_seconds, p.sort_seconds, p.gather_seconds, p.repair_seconds,
+        p.form_seconds, p.sweep_seconds, p.axis_seconds, p.partition_seconds,
+        static_cast<long long>(p.parallel_tasks),
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -214,10 +221,9 @@ int Main() {
         cell.rows_per_sec = static_cast<double>(rows) / seconds;
         cell.peak_rss_kb = PeakRssKb();
         cell.ecs = static_cast<int64_t>(published->ecs.size());
-        cell.groups = stats.groups;
-        cell.merged_slabs = stats.merged_slabs;
         cell.ail = AverageInfoLossOfEcs(table->schema(), published->ecs);
         cell.hash = EcStructureHash(published->ecs);
+        cell.profile = stats;
         cells.push_back(cell);
 
         if (threads == 1) {

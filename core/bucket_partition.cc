@@ -13,16 +13,11 @@ Status ValidateBurelOptions(const BurelOptions& options) {
         StrFormat("beta = %f must be a positive finite number",
                   options.beta));
   }
-  if (options.num_threads < 0) {
+  if (options.num_threads < 0 ||
+      options.num_threads > kMaxFormationThreads) {
     return Status::InvalidArgument(
-        StrFormat("num_threads = %d must be >= 0 (0 = auto)",
-                  options.num_threads));
-  }
-  if (options.parallel_cutoff_depth < 0 ||
-      options.parallel_cutoff_depth > 30) {
-    return Status::InvalidArgument(
-        StrFormat("parallel_cutoff_depth = %d outside [0, 30]",
-                  options.parallel_cutoff_depth));
+        StrFormat("num_threads = %d outside [0, %d] (0 = auto)",
+                  options.num_threads, kMaxFormationThreads));
   }
   return Status::Ok();
 }

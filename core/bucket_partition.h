@@ -21,15 +21,19 @@ struct BurelOptions {
   bool enhanced = true;
   // Formation worker threads, including the calling thread: 1 (the
   // default) runs serially, 0 uses one worker per hardware thread,
-  // k > 1 uses exactly k. The published output is bit-identical for
-  // every setting — threads change wall-clock only.
+  // k > 1 uses exactly k (at most kMaxFormationThreads). The published
+  // output is bit-identical for every setting — threads change
+  // wall-clock only.
   int num_threads = 1;
-  // Bisection depth at which independent subtrees become pool tasks
-  // (up to 2^depth tasks). Only read when more than one worker runs.
-  int parallel_cutoff_depth = 3;
 };
 
-// Ok iff `options` carries a positive finite β.
+// Upper bound on BurelOptions::num_threads: a larger count would only
+// ask the OS for more threads than any host runs, and failing to spawn
+// them aborts instead of returning a Status.
+inline constexpr int kMaxFormationThreads = 1024;
+
+// Ok iff `options` carries a positive finite β and a num_threads in
+// [0, kMaxFormationThreads].
 Status ValidateBurelOptions(const BurelOptions& options);
 
 // Per-SA-value equivalence-class frequency caps for the chosen model:

@@ -1,187 +1,18 @@
 #include "core/burel.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <future>
-#include <tuple>
 #include <utility>
-#include <vector>
 
-#include "common/thread_pool.h"
-#include "common/timer.h"
-#include "core/formation.h"
-#include "hilbert/hilbert.h"
+#include "core/sharded_burel.h"
 
 namespace betalike {
 
 Result<GeneralizedTable> AnonymizeWithBurel(
-    std::shared_ptr<const Table> table, const BurelOptions& options) {
-  return AnonymizeWithBurel(std::move(table), options, nullptr);
-}
-
-Result<GeneralizedTable> AnonymizeWithBurel(
     std::shared_ptr<const Table> table, const BurelOptions& options,
     BurelProfile* profile) {
-  if (table == nullptr) return Status::InvalidArgument("null table");
-  if (Status s = ValidateBurelOptions(options); !s.ok()) return s;
-  const int64_t n = table->num_rows();
-  if (n == 0) return Status::InvalidArgument("empty table");
-  if (profile != nullptr) *profile = BurelProfile{};
-  const Table& t = *table;
-
-  const std::vector<double> freqs = t.SaFrequencies();
-  const std::vector<double> thresholds =
-      BetaLikenessThresholds(freqs, options);
-
-  // Step 1: bucketization (core/bucket_partition). The bucket structure
-  // proves redistribution is feasible (every value fits some bucket
-  // under its threshold) and is what the paper's ECTree formation draws
-  // from; the bisection below enforces the exact per-value caps
-  // instead, which is precisely the β-likeness condition on the
-  // concrete output. (Bucket-level caps must NOT be enforced on
-  // consecutive-run classes: greedy packing fills buckets to their
-  // threshold, leaving no slack for per-class fluctuation, and the scan
-  // would never close a class.)
-  WallTimer section;
-  auto buckets = BucketizeSaValues(freqs, options);
-  if (profile != nullptr) {
-    profile->bucketize_seconds = section.ElapsedSeconds();
-  }
-  if (!buckets.ok()) return buckets.status();
-
-  // Step 2: order tuples along the Hilbert curve for QI locality
-  // (hilbert/): bulk column-major key encoding, then a stable radix
-  // sort — equivalent to comparison-sorting (key, row) pairs.
-  section.Restart();
-  const std::vector<uint64_t> keys = ComputeHilbertKeys(t);
-  if (profile != nullptr) profile->encode_seconds = section.ElapsedSeconds();
-  section.Restart();
-  std::vector<int64_t> sequence = SortRowsByHilbertKey(keys);
-  if (profile != nullptr) profile->sort_seconds = section.ElapsedSeconds();
-
-  // SoA mirror of the curve-ordered segment: qi_pos[d][i] / sa_pos[i]
-  // hold row sequence[i]'s values, so every sweep below streams
-  // contiguous memory instead of gathering rows through `sequence`.
-  // Axis cuts permute `sequence` and the mirror together, keeping the
-  // invariant for the whole recursion.
-  section.Restart();
-  const int dims = t.num_qi();
-  std::vector<std::vector<int32_t>> qi_pos(dims);
-  for (int d = 0; d < dims; ++d) {
-    const std::vector<int32_t>& column = t.qi_column(d);
-    qi_pos[d].resize(n);
-    for (int64_t i = 0; i < n; ++i) qi_pos[d][i] = column[sequence[i]];
-  }
-  std::vector<int32_t> sa_pos(n);
-  for (int64_t i = 0; i < n; ++i) sa_pos[i] = t.sa_column()[sequence[i]];
-  if (profile != nullptr) profile->gather_seconds = section.ElapsedSeconds();
-
-  // Infeasibility floor: any nonempty class holds some value v, so its
-  // size must reach count_v / threshold_v >= 1 / max threshold (and the
-  // sweeps' floor of 1.0). A segment shorter than two floors cannot be
-  // cut feasibly — curve or axis — so both sweeps and the axis scans
-  // are skipped and the segment is emitted as a leaf directly.
-  double max_threshold = 0.0;
-  for (size_t v = 0; v < freqs.size(); ++v) {
-    if (freqs[v] > 0.0) {
-      max_threshold = std::max(max_threshold, thresholds[v]);
-    }
-  }
-
-  FormationRun run;
-  run.schema = &t.schema();
-  run.thresholds = &thresholds;
-  run.min_cut_len = 2.0 * std::max(1.0, 1.0 / max_threshold);
-  run.dims = dims;
-  run.qcol.resize(dims);
-  for (int d = 0; d < dims; ++d) run.qcol[d] = qi_pos[d].data();
-  run.sa = sa_pos.data();
-  run.sequence = sequence.data();
-
-  // Step 3: hybrid bisection (core/formation for the per-node cut
-  // space). Serial runs recurse on one worker; parallel runs expand
-  // the top of the tree serially, hand every subtree at
-  // parallel_cutoff_depth to the pool as an independent task, and
-  // concatenate the per-task leaf lists in the serial visit order —
-  // the published output is bit-identical for every thread count.
-  // Workers emit (lo, hi) leaf ranges; the member rows are read back
-  // through `sequence` at combine time, which is safe because a leaf's
-  // segment is never touched again after its subtree finishes.
-  section.Restart();
-  const int threads = ResolveFormationThreads(options.num_threads);
-  if (profile != nullptr) profile->threads = threads;
-  std::vector<std::pair<int64_t, int64_t>> leaves;
-  if (threads <= 1) {
-    FormationWorker worker(run);
-    worker.Form(0, n, &leaves, profile);
-  } else {
-    struct TaskResult {
-      std::vector<std::pair<int64_t, int64_t>> leaves;
-      BurelProfile profile;
-    };
-    // One output slot per frontier element, in serial visit order: a
-    // leaf above the cutoff emits inline; a cutoff subtree fills its
-    // slot through the pool.
-    struct Slot {
-      std::pair<int64_t, int64_t> leaf{-1, -1};
-      std::future<TaskResult> task;
-    };
-    const bool want_profile = profile != nullptr;
-    ThreadPool pool(threads - 1);
-    FormationWorker main_worker(run);
-    std::vector<Slot> slots;
-    std::vector<std::tuple<int64_t, int64_t, int>> stack;
-    stack.emplace_back(0, n, 0);
-    while (!stack.empty()) {
-      const auto [lo, hi, depth] = stack.back();
-      stack.pop_back();
-      if (depth >= options.parallel_cutoff_depth) {
-        Slot slot;
-        slot.task = pool.Submit([&run, want_profile, lo = lo, hi = hi] {
-          TaskResult result;
-          FormationWorker worker(run);
-          worker.Form(lo, hi, &result.leaves,
-                      want_profile ? &result.profile : nullptr);
-          return result;
-        });
-        slots.push_back(std::move(slot));
-        continue;
-      }
-      if (profile != nullptr) ++profile->nodes;
-      const FormationCut cut = main_worker.EvaluateNode(lo, hi, profile);
-      if (cut.pos <= 0) {
-        Slot slot;
-        slot.leaf = {lo, hi};
-        slots.push_back(std::move(slot));
-        if (profile != nullptr) ++profile->leaves;
-      } else {
-        if (cut.dim >= 0) main_worker.ApplyAxisCut(lo, hi, cut, profile);
-        stack.emplace_back(lo, lo + cut.pos, depth + 1);
-        stack.emplace_back(lo + cut.pos, hi, depth + 1);
-      }
-    }
-    for (Slot& slot : slots) {
-      if (slot.task.valid()) {
-        TaskResult result = pool.GetAndHelp(std::move(slot.task));
-        if (profile != nullptr) {
-          ++profile->parallel_tasks;
-          MergeFormationProfile(result.profile, profile);
-        }
-        leaves.insert(leaves.end(), result.leaves.begin(),
-                      result.leaves.end());
-      } else {
-        leaves.push_back(slot.leaf);
-      }
-    }
-  }
-  std::vector<std::vector<int64_t>> ecs;
-  ecs.reserve(leaves.size());
-  for (const auto& [lo, hi] : leaves) {
-    ecs.emplace_back(run.sequence + lo, run.sequence + hi);
-  }
-  if (profile != nullptr) profile->form_seconds = section.ElapsedSeconds();
-
-  return GeneralizedTable::Create(std::move(table), std::move(ecs));
+  ShardedBurelOptions sharded;
+  sharded.burel = options;
+  sharded.num_shards = 1;
+  return AnonymizeSharded(std::move(table), sharded, profile);
 }
 
 }  // namespace betalike

@@ -16,8 +16,9 @@
 //      chosen by box loss. Curve locality keeps the classes' QI
 //      bounding boxes tight, which is what gives BUREL its
 //      information-loss edge over space-partitioning schemes.
-// The paper's ECTree formation and Hilbert-curve retrieval variants are
-// follow-up work (see the ablation bench, not yet built).
+// The pipeline itself lives in core/sharded_burel: AnonymizeWithBurel
+// is its one-shard case. The paper's ECTree formation and
+// Hilbert-curve retrieval variants are follow-up work.
 #ifndef BETALIKE_CORE_BUREL_H_
 #define BETALIKE_CORE_BUREL_H_
 
@@ -31,20 +32,24 @@
 
 namespace betalike {
 
-// Component wall-clock breakdown of one AnonymizeWithBurel call, for
-// the micro bench (bench_micro_components) and perf regression tests.
-// When the run is parallel (threads > 1), the per-section seconds are
-// summed across workers — CPU seconds, not wall-clock; form_seconds is
-// the wall-clock of the whole bisection step.
+// Stage breakdown of one formation run (AnonymizeWithBurel or
+// AnonymizeSharded), for the benches and perf regression tests. The
+// sweep/axis/partition sections are summed across workers — CPU
+// seconds, not wall-clock — when more than one thread runs; every
+// other section is the wall-clock of its step.
 struct BurelProfile {
+  double bucketize_seconds = 0.0;  // SA-value bucketization
   double encode_seconds = 0.0;     // bulk Hilbert key computation
   double sort_seconds = 0.0;       // radix sort of the keys
   double gather_seconds = 0.0;     // SoA copies of the QI/SA columns
-  double bucketize_seconds = 0.0;  // SA-value bucketization
+  double repair_seconds = 0.0;     // slab repair into feasible groups
   double sweep_seconds = 0.0;      // prefix/suffix feasibility sweeps
   double axis_seconds = 0.0;       // axis-median cut evaluation
   double partition_seconds = 0.0;  // applying the winning axis cuts
   double form_seconds = 0.0;       // wall-clock of the full bisection
+  int shards = 0;                  // slabs after clamping to the rows
+  int groups = 0;                  // feasible groups actually formed
+  int merged_slabs = 0;            // slabs that lost their boundary
   int64_t nodes = 0;               // bisection nodes visited
   int64_t leaves = 0;              // equivalence classes emitted
   int threads = 1;                 // formation workers used
@@ -52,15 +57,12 @@ struct BurelProfile {
 };
 
 // Anonymizes `table` so that the result satisfies β-likeness under
-// `options`. Fails on invalid options or an empty table.
-Result<GeneralizedTable> AnonymizeWithBurel(
-    std::shared_ptr<const Table> table, const BurelOptions& options);
-
-// As above; when `profile` is non-null it is overwritten with the
-// component timing breakdown of this call.
+// `options`: sharded formation with one shard. Fails on invalid
+// options or an empty table. When `profile` is non-null it is
+// overwritten with the stage breakdown of this call.
 Result<GeneralizedTable> AnonymizeWithBurel(
     std::shared_ptr<const Table> table, const BurelOptions& options,
-    BurelProfile* profile);
+    BurelProfile* profile = nullptr);
 
 }  // namespace betalike
 

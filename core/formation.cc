@@ -24,6 +24,7 @@ void MergeFormationProfile(const BurelProfile& from, BurelProfile* into) {
   into->partition_seconds += from.partition_seconds;
   into->nodes += from.nodes;
   into->leaves += from.leaves;
+  into->parallel_tasks += from.parallel_tasks;
 }
 
 FormationWorker::FormationWorker(const FormationRun& run)

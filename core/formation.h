@@ -1,10 +1,10 @@
-// Internal hybrid-bisection engine behind BUREL formation, shared by
-// the single-table path (core/burel) and the Hilbert-prefix sharded
-// path (core/sharded_burel). Callers build the curve-ordered SoA
-// mirror, pick the segments to form, and combine the emitted leaves in
-// a deterministic order of their own; the engine itself never touches
-// anything outside the [lo, hi) segment it was given, so independent
-// segments run on different threads with no shared mutable state.
+// Internal hybrid-bisection engine behind BUREL formation. The one
+// pipeline (core/sharded_burel) builds the curve-ordered SoA mirror,
+// picks the segments to form — slab groups, and the subtrees its
+// fork-join hands out — and combines the emitted leaves in the serial
+// emission order; the engine itself never touches anything outside
+// the [lo, hi) segment it was given, so independent segments run on
+// different threads with no shared mutable state.
 #ifndef BETALIKE_CORE_FORMATION_H_
 #define BETALIKE_CORE_FORMATION_H_
 
@@ -40,7 +40,8 @@ struct FormationCut {
   int32_t split = 0;
 };
 
-// Folds a subtree task's profile sections into the run-wide profile.
+// Folds a subtree task's formation sections and counters (sweep, axis,
+// partition, nodes, leaves, parallel_tasks) into a parent profile.
 void MergeFormationProfile(const BurelProfile& from, BurelProfile* into);
 
 // Per-worker bisection engine: owns every scratch buffer node

@@ -14,54 +14,31 @@
 namespace betalike {
 namespace {
 
-// The two table shapes behind one pipeline. Each source yields the
-// schema, the global SA distribution, Hilbert keys for all rows, and
-// random row access for the mirror gather; everything downstream is
-// shape-blind.
-struct TableSource {
-  const Table& t;
+// Cut-tree depth down to which a group forks into pool tasks: up to
+// 2^depth serially formed subtrees per group.
+constexpr int kParallelCutoffDepth = 3;
 
-  int64_t num_rows() const { return t.num_rows(); }
-  const TableSchema& schema() const { return t.schema(); }
-  std::vector<double> SaFrequencies() const { return t.SaFrequencies(); }
+// Hilbert keys of every row, for the two table shapes the pipeline
+// takes; everything downstream is shape-blind. A chunked table is
+// encoded a chunk at a time: a key is a pure function of its own row's
+// values, so the per-chunk spans produce exactly the keys of one
+// whole-table pass.
+std::vector<uint64_t> EncodeKeys(const Table& t) {
+  return ComputeHilbertKeys(t);
+}
 
-  void EncodeKeys(uint64_t* keys) const {
-    const BulkHilbertEncoder encoder(t.schema());
-    std::vector<const int32_t*> columns(t.num_qi());
-    for (int d = 0; d < t.num_qi(); ++d) {
-      columns[d] = t.qi_column(d).data();
-    }
-    encoder.EncodeSpan(columns.data(), t.num_rows(), keys);
+std::vector<uint64_t> EncodeKeys(const ChunkedTable& t) {
+  std::vector<uint64_t> keys(t.num_rows(), 0);
+  const BulkHilbertEncoder encoder(t.schema());
+  std::vector<const int32_t*> columns(t.num_qi());
+  int64_t offset = 0;
+  for (int c = 0; c < t.num_chunks(); ++c) {
+    for (int d = 0; d < t.num_qi(); ++d) columns[d] = t.qi_chunk(c, d);
+    encoder.EncodeSpan(columns.data(), t.chunk_size(c), keys.data() + offset);
+    offset += t.chunk_size(c);
   }
-
-  int32_t qi(int64_t row, int d) const { return t.qi_value(row, d); }
-  int32_t sa(int64_t row) const { return t.sa_value(row); }
-};
-
-struct ChunkedSource {
-  const ChunkedTable& t;
-
-  int64_t num_rows() const { return t.num_rows(); }
-  const TableSchema& schema() const { return t.schema(); }
-  std::vector<double> SaFrequencies() const { return t.SaFrequencies(); }
-
-  // Chunk-at-a-time encoding: a key is a pure function of its own
-  // row's values, so the per-chunk spans produce exactly the keys of
-  // one whole-table pass.
-  void EncodeKeys(uint64_t* keys) const {
-    const BulkHilbertEncoder encoder(t.schema());
-    std::vector<const int32_t*> columns(t.num_qi());
-    int64_t offset = 0;
-    for (int c = 0; c < t.num_chunks(); ++c) {
-      for (int d = 0; d < t.num_qi(); ++d) columns[d] = t.qi_chunk(c, d);
-      encoder.EncodeSpan(columns.data(), t.chunk_size(c), keys + offset);
-      offset += t.chunk_size(c);
-    }
-  }
-
-  int32_t qi(int64_t row, int d) const { return t.qi_value(row, d); }
-  int32_t sa(int64_t row) const { return t.sa_value(row); }
-};
+  return keys;
+}
 
 // Root feasibility of a contiguous group, by the same arithmetic the
 // engine's sweeps use (double division, then compare against the
@@ -78,17 +55,76 @@ bool GroupFeasible(const std::vector<int64_t>& hist,
   return true;
 }
 
-// The shared pipeline: thresholds and the bucketization gate, chunked
-// key encode, radix sort, SoA mirror gather, slab repair into feasible
-// groups, and per-group formation with slab-ordered combine. On
-// success `leaves` holds one (lo, hi) range per equivalence class in
-// global emission order over the final `sequence`/`qi_pos` mirror.
-template <typename Source>
-Status RunSharded(const Source& src, const ShardedBurelOptions& options,
-                  std::vector<std::pair<int64_t, int64_t>>* leaves,
-                  std::vector<int64_t>* sequence_out,
-                  std::vector<std::vector<int32_t>>* qi_pos_out,
-                  std::vector<int32_t>* sa_pos_out, ShardStats* stats) {
+using Leaves = std::vector<std::pair<int64_t, int64_t>>;
+
+// The leaves and profile sections of one formed subtree.
+struct Subtree {
+  Leaves leaves;
+  BurelProfile profile;
+};
+
+// Forms segment [lo, hi) at cut-tree depth `depth`. Without a pool, or
+// at kParallelCutoffDepth, that is one serial FormationWorker::Form.
+// Above it the node is evaluated and cut here and both children fork
+// as pool tasks; their leaves are concatenated right child first — the
+// order Form pops them — so the result is exactly the serial one.
+Subtree FormSubtree(const FormationRun& run, ThreadPool* pool, int64_t lo,
+                    int64_t hi, int depth) {
+  Subtree out;
+  if (pool == nullptr || depth >= kParallelCutoffDepth) {
+    FormationWorker(run).Form(lo, hi, &out.leaves, &out.profile);
+    return out;
+  }
+  FormationCut cut;
+  {
+    // Scoped so the worker's scratch (~57 B per segment row) is freed
+    // before this task waits: otherwise it piles up down the fork chain.
+    FormationWorker worker(run);
+    ++out.profile.nodes;
+    cut = worker.EvaluateNode(lo, hi, &out.profile);
+    if (cut.pos > 0 && cut.dim >= 0) {
+      worker.ApplyAxisCut(lo, hi, cut, &out.profile);
+    }
+  }
+  if (cut.pos <= 0) {
+    out.leaves.emplace_back(lo, hi);
+    ++out.profile.leaves;
+    return out;
+  }
+  const int64_t mid = lo + cut.pos;
+  std::future<Subtree> left = pool->Submit([&run, pool, lo, mid, depth] {
+    return FormSubtree(run, pool, lo, mid, depth + 1);
+  });
+  std::future<Subtree> right = pool->Submit([&run, pool, mid, hi, depth] {
+    return FormSubtree(run, pool, mid, hi, depth + 1);
+  });
+  out.profile.parallel_tasks += 2;
+  for (std::future<Subtree>* child : {&right, &left}) {
+    const Subtree part = pool->GetAndHelp(std::move(*child));
+    out.leaves.insert(out.leaves.end(), part.leaves.begin(),
+                      part.leaves.end());
+    MergeFormationProfile(part.profile, &out.profile);
+  }
+  return out;
+}
+
+// A formed run: one (lo, hi) range per equivalence class in global
+// emission order, over the final curve-ordered mirror.
+struct Formation {
+  Leaves leaves;
+  std::vector<int64_t> sequence;
+  std::vector<std::vector<int32_t>> qi_pos;
+  std::vector<int32_t> sa_pos;
+};
+
+// The pipeline: thresholds and the bucketization gate, key encode,
+// radix sort, SoA mirror gather, slab repair into feasible groups, and
+// per-group formation with slab-ordered combine. Overwrites `profile`.
+template <typename SourceTable>
+Result<Formation> RunSharded(const SourceTable& src,
+                             const ShardedBurelOptions& options,
+                             BurelProfile* profile) {
+  *profile = BurelProfile{};
   if (Status s = ValidateShardedBurelOptions(options); !s.ok()) return s;
   const int64_t n = src.num_rows();
   if (n == 0) return Status::InvalidArgument("empty table");
@@ -97,41 +133,56 @@ Status RunSharded(const Source& src, const ShardedBurelOptions& options,
   const std::vector<double> freqs = src.SaFrequencies();
   const std::vector<double> thresholds =
       BetaLikenessThresholds(freqs, options.burel);
+
+  // Bucketization (core/bucket_partition) proves redistribution is
+  // feasible: every value fits some bucket under its threshold. The
+  // bisection enforces the exact per-value caps instead, which is
+  // precisely the β-likeness condition on the concrete output.
+  // (Bucket-level caps must NOT be enforced on consecutive-run
+  // classes: greedy packing fills buckets to their threshold, leaving
+  // no slack for per-class fluctuation, and no class would close.)
+  WallTimer section;
   auto buckets = BucketizeSaValues(freqs, options.burel);
+  profile->bucketize_seconds = section.ElapsedSeconds();
   if (!buckets.ok()) return buckets.status();
 
   // More slabs than rows would leave some empty; clamp.
   const int shards =
       static_cast<int>(std::min<int64_t>(options.num_shards, n));
-  if (stats != nullptr) stats->shards = shards;
+  profile->shards = shards;
 
-  WallTimer section;
-  std::vector<int64_t>& sequence = *sequence_out;
+  // Curve order: bulk key encoding, then a stable radix sort —
+  // equivalent to comparison-sorting (key, row) pairs.
+  Formation out;
+  std::vector<int64_t>& sequence = out.sequence;
   {
-    std::vector<uint64_t> keys(n, 0);
-    src.EncodeKeys(keys.data());
-    if (stats != nullptr) stats->encode_seconds = section.ElapsedSeconds();
+    section.Restart();
+    const std::vector<uint64_t> keys = EncodeKeys(src);
+    profile->encode_seconds = section.ElapsedSeconds();
     section.Restart();
     sequence = SortRowsByHilbertKey(keys);
-    if (stats != nullptr) stats->sort_seconds = section.ElapsedSeconds();
+    profile->sort_seconds = section.ElapsedSeconds();
   }  // keys freed before the mirror is allocated
 
-  // Curve-ordered SoA mirror (see core/burel.cc): formation streams
-  // these, never the source again.
+  // SoA mirror of the curve order: qi_pos[d][i] / sa_pos[i] hold row
+  // sequence[i]'s values, so every sweep streams contiguous memory
+  // instead of gathering rows through `sequence`, and formation never
+  // reads the source again. Axis cuts permute `sequence` and the
+  // mirror together, keeping the invariant for the whole recursion.
   section.Restart();
   const int dims = schema.num_qi();
-  std::vector<std::vector<int32_t>>& qi_pos = *qi_pos_out;
+  std::vector<std::vector<int32_t>>& qi_pos = out.qi_pos;
   qi_pos.assign(dims, {});
   for (int d = 0; d < dims; ++d) {
     qi_pos[d].resize(n);
     for (int64_t i = 0; i < n; ++i) {
-      qi_pos[d][i] = src.qi(sequence[i], d);
+      qi_pos[d][i] = src.qi_value(sequence[i], d);
     }
   }
-  std::vector<int32_t>& sa_pos = *sa_pos_out;
+  std::vector<int32_t>& sa_pos = out.sa_pos;
   sa_pos.resize(n);
-  for (int64_t i = 0; i < n; ++i) sa_pos[i] = src.sa(sequence[i]);
-  if (stats != nullptr) stats->gather_seconds = section.ElapsedSeconds();
+  for (int64_t i = 0; i < n; ++i) sa_pos[i] = src.sa_value(sequence[i]);
+  profile->gather_seconds = section.ElapsedSeconds();
 
   // Slab repair. Slab s covers curve positions [s*n/P, (s+1)*n/P); a
   // left-to-right greedy closes a group as soon as its accumulated SA
@@ -171,12 +222,14 @@ Status RunSharded(const Source& src, const ShardedBurelOptions& options,
       groups.emplace_back(cur_lo, n);
     }
   }
-  if (stats != nullptr) {
-    stats->repair_seconds = section.ElapsedSeconds();
-    stats->groups = static_cast<int>(groups.size());
-    stats->merged_slabs = shards - static_cast<int>(groups.size());
-  }
+  profile->repair_seconds = section.ElapsedSeconds();
+  profile->groups = static_cast<int>(groups.size());
+  profile->merged_slabs = shards - static_cast<int>(groups.size());
 
+  // Infeasibility floor: any nonempty class holds some value v, so its
+  // size must reach count_v / threshold_v >= 1 / max threshold (and the
+  // sweeps' floor of 1.0). A segment shorter than two floors cannot be
+  // cut feasibly — curve or axis — so it is emitted as a leaf directly.
   double max_threshold = 0.0;
   for (size_t v = 0; v < freqs.size(); ++v) {
     if (freqs[v] > 0.0) {
@@ -194,41 +247,39 @@ Status RunSharded(const Source& src, const ShardedBurelOptions& options,
   run.sa = sa_pos.data();
   run.sequence = sequence.data();
 
-  // Per-group formation. Groups are disjoint segments of the mirror,
-  // so they run as independent pool tasks; each forms serially inside
-  // its task, and the combine concatenates leaf lists in group order —
-  // the output depends on (data, P) only, never on the thread count.
+  // Per-group formation. Groups are disjoint segments of the mirror and
+  // fork into disjoint subtrees, so tasks share no mutable state; the
+  // combine concatenates leaf lists in group order, so the output
+  // depends on (data, P) only, never on the thread count. A leaf's
+  // segment is never touched again once emitted, so its member rows
+  // are read back through `sequence` after the whole run.
   section.Restart();
   const int threads = ResolveFormationThreads(options.burel.num_threads);
-  if (stats != nullptr) stats->threads = threads;
-  if (threads <= 1 || groups.size() <= 1) {
-    FormationWorker worker(run);
+  profile->threads = threads;
+  const auto combine = [&](const Subtree& part) {
+    out.leaves.insert(out.leaves.end(), part.leaves.begin(),
+                      part.leaves.end());
+    MergeFormationProfile(part.profile, profile);
+  };
+  if (threads <= 1) {
     for (const auto& [lo, hi] : groups) {
-      worker.Form(lo, hi, leaves, nullptr);
+      combine(FormSubtree(run, nullptr, lo, hi, 0));
     }
   } else {
     ThreadPool pool(threads - 1);
-    using Leaves = std::vector<std::pair<int64_t, int64_t>>;
-    std::vector<std::future<Leaves>> tasks;
+    std::vector<std::future<Subtree>> tasks;
     tasks.reserve(groups.size());
     for (const auto& [lo, hi] : groups) {
-      tasks.push_back(pool.Submit([&run, lo = lo, hi = hi] {
-        Leaves out;
-        FormationWorker worker(run);
-        worker.Form(lo, hi, &out, nullptr);
-        return out;
+      tasks.push_back(pool.Submit([&run, &pool, lo = lo, hi = hi] {
+        return FormSubtree(run, &pool, lo, hi, 0);
       }));
     }
-    for (std::future<Leaves>& task : tasks) {
-      const Leaves part = pool.GetAndHelp(std::move(task));
-      leaves->insert(leaves->end(), part.begin(), part.end());
+    for (std::future<Subtree>& task : tasks) {
+      combine(pool.GetAndHelp(std::move(task)));
     }
   }
-  if (stats != nullptr) {
-    stats->form_seconds = section.ElapsedSeconds();
-    stats->ecs = static_cast<int64_t>(leaves->size());
-  }
-  return Status::Ok();
+  profile->form_seconds = section.ElapsedSeconds();
+  return out;
 }
 
 }  // namespace
@@ -246,20 +297,14 @@ Result<GeneralizedTable> AnonymizeSharded(
     std::shared_ptr<const Table> table, const ShardedBurelOptions& options,
     ShardStats* stats) {
   if (table == nullptr) return Status::InvalidArgument("null table");
-  if (stats != nullptr) *stats = ShardStats{};
-  std::vector<std::pair<int64_t, int64_t>> leaves;
-  std::vector<int64_t> sequence;
-  std::vector<std::vector<int32_t>> qi_pos;
-  std::vector<int32_t> sa_pos;
-  TableSource source{*table};
-  if (Status s = RunSharded(source, options, &leaves, &sequence, &qi_pos,
-                            &sa_pos, stats);
-      !s.ok()) {
-    return s;
-  }
+  ShardStats local;
+  ShardStats* profile = stats != nullptr ? stats : &local;
+  auto formed = RunSharded(*table, options, profile);
+  if (!formed.ok()) return formed.status();
+  const std::vector<int64_t>& sequence = formed->sequence;
   std::vector<std::vector<int64_t>> ecs;
-  ecs.reserve(leaves.size());
-  for (const auto& [lo, hi] : leaves) {
+  ecs.reserve(formed->leaves.size());
+  for (const auto& [lo, hi] : formed->leaves) {
     ecs.emplace_back(sequence.data() + lo, sequence.data() + hi);
   }
   return GeneralizedTable::Create(std::move(table), std::move(ecs));
@@ -268,26 +313,21 @@ Result<GeneralizedTable> AnonymizeSharded(
 Result<ShardedPublication> AnonymizeSharded(
     const ChunkedTable& table, const ShardedBurelOptions& options,
     ShardStats* stats) {
-  if (stats != nullptr) *stats = ShardStats{};
-  std::vector<std::pair<int64_t, int64_t>> leaves;
-  std::vector<int64_t> sequence;
-  std::vector<std::vector<int32_t>> qi_pos;
-  std::vector<int32_t> sa_pos;
-  ChunkedSource source{table};
-  if (Status s = RunSharded(source, options, &leaves, &sequence, &qi_pos,
-                            &sa_pos, stats);
-      !s.ok()) {
-    return s;
-  }
+  ShardStats local;
+  ShardStats* profile = stats != nullptr ? stats : &local;
+  auto formed = RunSharded(table, options, profile);
+  if (!formed.ok()) return formed.status();
   // Boxes straight off the mirror: integer min/max over exactly the
   // member rows, so the ranges equal what GeneralizedTable::Create
   // computes by row access on a materialized Table.
+  const std::vector<int64_t>& sequence = formed->sequence;
+  const std::vector<std::vector<int32_t>>& qi_pos = formed->qi_pos;
   ShardedPublication out;
   out.schema = table.schema();
   out.num_rows = table.num_rows();
   const int dims = out.schema.num_qi();
-  out.ecs.reserve(leaves.size());
-  for (const auto& [lo, hi] : leaves) {
+  out.ecs.reserve(formed->leaves.size());
+  for (const auto& [lo, hi] : formed->leaves) {
     EquivalenceClass ec;
     ec.rows.assign(sequence.data() + lo, sequence.data() + hi);
     ec.qi_min.resize(dims);

@@ -1,8 +1,16 @@
-// Hilbert-prefix sharded BUREL formation (the ROADMAP's scale-out
-// path): the radix-sorted Hilbert key range is split into P contiguous
-// slabs, slabs are repaired into β-feasible groups, and every group
-// runs the hybrid-bisection engine (core/formation) as an independent
-// thread-pool task whose leaves are combined in slab order.
+// BUREL formation, the one pipeline behind AnonymizeWithBurel and the
+// scale-out path: thresholds and bucketization, Hilbert key encode,
+// radix sort, and the curve-ordered SoA mirror gather; then the sorted
+// key range is split into P contiguous slabs, slabs are repaired into
+// β-feasible groups, and every group runs the hybrid-bisection engine
+// (core/formation). AnonymizeWithBurel is P = 1: one group spanning
+// the table.
+//
+// Parallelism: each group is a thread-pool task, and inside a group
+// the top three levels of the cut tree fork — a node is evaluated and
+// cut, then both children run as pool tasks — while deeper subtrees
+// form serially in one task. So P = 1 gets subtree
+// parallelism and P > 1 gets slab-group and subtree parallelism.
 //
 // Why repair happens BEFORE formation instead of re-cutting straddling
 // classes afterwards: if a segment is infeasible — some value v has
@@ -18,11 +26,12 @@
 // exactly; the whole table is always feasible under its own global
 // thresholds, so the merge terminates.
 //
-// Determinism: group boundaries depend only on (data, P), and each
-// group forms serially inside one task, so the published output is
-// bit-identical for every thread count; P = 1 is one group spanning
-// the table — exactly the serial unsharded recursion, reproducing its
-// pinned EC-structure hashes.
+// Determinism: group boundaries depend only on (data, P), every node's
+// cut is a pure function of its segment, and leaf lists are combined
+// in the serial emission order (groups in slab order; within a fork,
+// right child first, as the serial recursion pops them). So the
+// published output is bit-identical for every thread count, and P = 1
+// reproduces the serial recursion's pinned EC-structure hashes.
 #ifndef BETALIKE_CORE_SHARDED_BUREL_H_
 #define BETALIKE_CORE_SHARDED_BUREL_H_
 
@@ -31,6 +40,7 @@
 #include <vector>
 
 #include "core/bucket_partition.h"
+#include "core/burel.h"
 #include "data/chunked_table.h"
 #include "data/table.h"
 
@@ -44,20 +54,9 @@ struct ShardedBurelOptions {
 
 Status ValidateShardedBurelOptions(const ShardedBurelOptions& options);
 
-// Section timings and shard accounting of one sharded run, for
-// bench_scale and the shard tests.
-struct ShardStats {
-  int shards = 0;        // slabs after clamping to the row count
-  int groups = 0;        // feasible groups actually formed
-  int merged_slabs = 0;  // slabs that lost their boundary to repair
-  int threads = 0;
-  int64_t ecs = 0;
-  double encode_seconds = 0.0;
-  double sort_seconds = 0.0;
-  double gather_seconds = 0.0;
-  double repair_seconds = 0.0;
-  double form_seconds = 0.0;
-};
+// The stage profile, shard accounting included, under the name the
+// sharded benches use.
+using ShardStats = BurelProfile;
 
 // A publication without a materialized source Table: the schema plus
 // the equivalence classes (member rows and bounding boxes). What the
@@ -69,8 +68,8 @@ struct ShardedPublication {
   std::vector<EquivalenceClass> ecs;
 };
 
-// Sharded formation of a resident Table. P = 1 is bit-identical to
-// AnonymizeWithBurel in serial mode; stats is optional.
+// Sharded formation of a resident Table; P = 1 is AnonymizeWithBurel.
+// When `stats` is non-null it is overwritten with this call's profile.
 Result<GeneralizedTable> AnonymizeSharded(
     std::shared_ptr<const Table> table, const ShardedBurelOptions& options,
     ShardStats* stats = nullptr);

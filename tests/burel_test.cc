@@ -216,6 +216,11 @@ TEST(Burel, RejectsInvalidArguments) {
   options.beta = -1.0;
   EXPECT_FALSE(AnonymizeWithBurel(table, options).ok());
   options.beta = 1.0;
+  options.num_threads = kMaxFormationThreads + 1;
+  EXPECT_FALSE(AnonymizeWithBurel(table, options).ok());
+  options.num_threads = -1;
+  EXPECT_FALSE(AnonymizeWithBurel(table, options).ok());
+  options.num_threads = 1;
   EXPECT_FALSE(AnonymizeWithBurel(nullptr, options).ok());
   auto empty = Table::Create({{"A", 0, 1}}, {"SA", 2}, {{}}, {});
   ASSERT_OK(empty);

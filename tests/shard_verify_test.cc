@@ -161,27 +161,43 @@ TEST(ShardVerify, CensusShardCountsKeepInvariants) {
   }
 }
 
-// Group boundaries depend only on (data, P) and each group forms
-// serially inside one task, so thread count must never move the
-// output — checked EC for EC against the serial run, through the
-// thread-pool path (this also puts the sharded fan-out under the TSan
-// preset).
+// Group boundaries depend only on (data, P), and inside each group the
+// top of the cut tree forks into pool tasks whose leaves are combined
+// in serial emission order, so thread count must never move the
+// output — checked EC for EC (rows and boxes) against the serial run,
+// at one group and at several, through the fork-join path (this also
+// puts the group and subtree fan-out under the TSan preset).
 TEST(ShardVerify, ThreadCountNeverMovesTheOutput) {
   auto table = Census10k();
-  ShardedBurelOptions options;
-  options.burel.beta = 4.0;
-  options.num_shards = 4;
-  auto serial = AnonymizeSharded(table, options);
-  ASSERT_OK(serial);
-  for (int threads : {2, 4, 0}) {
-    options.burel.num_threads = threads;
-    ShardStats stats;
-    auto threaded = AnonymizeSharded(table, options, &stats);
-    ASSERT_OK(threaded);
-    EXPECT_TRUE(stats.threads >= 1);
-    ASSERT_EQ(threaded->num_ecs(), serial->num_ecs());
-    for (size_t e = 0; e < threaded->num_ecs(); ++e) {
-      EXPECT_TRUE(threaded->ec(e).rows == serial->ec(e).rows);
+  for (int shards : {1, 4}) {
+    ShardedBurelOptions options;
+    options.burel.beta = 4.0;
+    options.num_shards = shards;
+    ShardStats serial_stats;
+    auto serial = AnonymizeSharded(table, options, &serial_stats);
+    ASSERT_OK(serial);
+    EXPECT_EQ(serial_stats.parallel_tasks, 0);
+    for (int threads : {2, 4, 0}) {
+      options.burel.num_threads = threads;
+      ShardStats stats;
+      auto threaded = AnonymizeSharded(table, options, &stats);
+      ASSERT_OK(threaded);
+      EXPECT_TRUE(stats.threads >= 1);
+      ASSERT_EQ(threaded->num_ecs(), serial->num_ecs());
+      for (size_t e = 0; e < threaded->num_ecs(); ++e) {
+        EXPECT_TRUE(threaded->ec(e).rows == serial->ec(e).rows);
+        EXPECT_TRUE(threaded->ec(e).qi_min == serial->ec(e).qi_min);
+        EXPECT_TRUE(threaded->ec(e).qi_max == serial->ec(e).qi_max);
+      }
+      if (threads == 4) {
+        EXPECT_EQ(stats.nodes, serial_stats.nodes);
+        EXPECT_EQ(stats.leaves, serial_stats.leaves);
+        EXPECT_EQ(stats.groups, serial_stats.groups);
+      }
+      // Subtree tasks, not just group tasks: groups fork internally.
+      if (threads == 2 && shards == 4) {
+        EXPECT_TRUE(stats.parallel_tasks > 0);
+      }
     }
   }
 }
@@ -258,28 +274,31 @@ TEST(ShardVerify, ChunkedMatchesTableOnRandomInputs) {
     ASSERT_OK(chunked);
 
     for (int shards : {2, 4, 7}) {
-      ShardedBurelOptions options;
-      options.burel.beta = 2.0;
-      options.num_shards = shards;
-      auto from_table = AnonymizeSharded(table, options);
-      ASSERT_OK(from_table);
-      auto from_chunks = AnonymizeSharded(*chunked, options);
-      ASSERT_OK(from_chunks);
+      for (int threads : {1, 2, 4}) {
+        ShardedBurelOptions options;
+        options.burel.beta = 2.0;
+        options.burel.num_threads = threads;
+        options.num_shards = shards;
+        auto from_table = AnonymizeSharded(table, options);
+        ASSERT_OK(from_table);
+        auto from_chunks = AnonymizeSharded(*chunked, options);
+        ASSERT_OK(from_chunks);
 
-      ASSERT_EQ(from_chunks->ecs.size(), from_table->num_ecs());
-      for (size_t e = 0; e < from_chunks->ecs.size(); ++e) {
-        EXPECT_TRUE(from_chunks->ecs[e].rows == from_table->ec(e).rows);
-        EXPECT_TRUE(from_chunks->ecs[e].qi_min ==
-                    from_table->ec(e).qi_min);
-        EXPECT_TRUE(from_chunks->ecs[e].qi_max ==
-                    from_table->ec(e).qi_max);
+        ASSERT_EQ(from_chunks->ecs.size(), from_table->num_ecs());
+        for (size_t e = 0; e < from_chunks->ecs.size(); ++e) {
+          EXPECT_TRUE(from_chunks->ecs[e].rows == from_table->ec(e).rows);
+          EXPECT_TRUE(from_chunks->ecs[e].qi_min ==
+                      from_table->ec(e).qi_min);
+          EXPECT_TRUE(from_chunks->ecs[e].qi_max ==
+                      from_table->ec(e).qi_max);
+        }
+        ExpectFullCoverage(rows, from_chunks->ecs);
+        ExpectBetaFeasibleRows(sa_col, num_values, from_chunks->ecs,
+                               table->SaFrequencies(), options.burel);
+        EXPECT_NEAR(
+            AverageInfoLossOfEcs(chunked->schema(), from_chunks->ecs),
+            AverageInfoLoss(*from_table), 0.0);
       }
-      ExpectFullCoverage(rows, from_chunks->ecs);
-      ExpectBetaFeasibleRows(sa_col, num_values, from_chunks->ecs,
-                             table->SaFrequencies(), options.burel);
-      EXPECT_NEAR(
-          AverageInfoLossOfEcs(chunked->schema(), from_chunks->ecs),
-          AverageInfoLoss(*from_table), 0.0);
     }
   }
 }
@@ -308,7 +327,7 @@ TEST(ShardVerify, ChunkedCensusEndToEnd) {
   ExpectBetaFeasibleRows(sa_by_row, dense->sa_spec().num_values,
                          published->ecs, chunked->SaFrequencies(),
                          options.burel);
-  EXPECT_EQ(stats.ecs, static_cast<int64_t>(published->ecs.size()));
+  EXPECT_EQ(stats.leaves, static_cast<int64_t>(published->ecs.size()));
 }
 
 TEST(ShardVerify, OptionsAreValidated) {
@@ -319,6 +338,11 @@ TEST(ShardVerify, OptionsAreValidated) {
   EXPECT_TRUE(!AnonymizeSharded(table, options).ok());
   options.num_shards = 4;
   options.burel.beta = -1.0;
+  EXPECT_TRUE(!AnonymizeSharded(table, options).ok());
+  options.burel.beta = 4.0;
+  options.burel.num_threads = kMaxFormationThreads + 1;
+  EXPECT_TRUE(!AnonymizeSharded(table, options).ok());
+  options.burel.num_threads = -1;
   EXPECT_TRUE(!AnonymizeSharded(table, options).ok());
 }
 
