@@ -20,7 +20,8 @@ std::vector<std::string> PanelHeader(const std::string& x_header) {
 }
 
 // One estimator per scheme run, built through the unified interface
-// (its answers are bit-identical to the legacy free-function path).
+// (its answers are bit-identical to the plain per-EC scan; the
+// committed tests/golden tables pin them).
 std::vector<std::unique_ptr<Estimator>> MakeEstimators(
     const std::vector<bench::SchemeRun>& runs) {
   std::vector<std::unique_ptr<Estimator>> estimators;

@@ -106,12 +106,13 @@ std::unique_ptr<QueryServer> MakeServer(
 void CheckDeterminism(const std::shared_ptr<const Estimator>& estimator,
                       const std::vector<AggregateQuery>& workload,
                       int max_threads) {
+  const std::vector<ServedRequest> requests = CountRequests(workload);
   const std::vector<ServedAnswer> reference =
-      MakeServer(estimator, 1)->AnswerBatch(workload);
+      MakeServer(estimator, 1)->AnswerBatch(requests);
   for (int workers : {2, max_threads}) {
     if (workers < 2) continue;
     const std::vector<ServedAnswer> got =
-        MakeServer(estimator, workers)->AnswerBatch(workload);
+        MakeServer(estimator, workers)->AnswerBatch(requests);
     BETALIKE_CHECK(got.size() == reference.size());
     BETALIKE_CHECK(std::memcmp(got.data(), reference.data(),
                                got.size() * sizeof(ServedAnswer)) == 0)
@@ -119,7 +120,7 @@ void CheckDeterminism(const std::shared_ptr<const Estimator>& estimator,
   }
   for (int workers : {1, 2, max_threads}) {
     const std::unique_ptr<QueryServer> server = MakeServer(estimator, workers);
-    auto submitted = server->SubmitBatch(workload);
+    auto submitted = server->SubmitBatch(requests);
     BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
     const std::vector<ServedAnswer> got = submitted->get();
     BETALIKE_CHECK(got.size() == reference.size());
@@ -146,7 +147,8 @@ ThroughputPoint MeasureThroughput(
     const std::vector<AggregateQuery>& workload, int threads,
     int64_t batch_size, int64_t total_queries) {
   const std::unique_ptr<QueryServer> server = MakeServer(estimator, threads);
-  const Span<AggregateQuery> all(workload);
+  const std::vector<ServedRequest> requests = CountRequests(workload);
+  const Span<ServedRequest> all(requests);
 
   // One warmup pass (page in the index, spin up the pool).
   server->AnswerBatch(all.Slice(0, batch_size));
@@ -156,7 +158,7 @@ ThroughputPoint MeasureThroughput(
   size_t offset = 0;
   WallTimer timer;
   while (served < total_queries) {
-    Span<AggregateQuery> batch = all.Slice(offset, batch_size);
+    Span<ServedRequest> batch = all.Slice(offset, batch_size);
     if (batch.empty()) {
       offset = 0;
       continue;
@@ -194,7 +196,8 @@ CalibrationPoint MeasureCalibration(
   const std::vector<int64_t> truth = PreciseCounts(*table, workload);
 
   const std::unique_ptr<QueryServer> server = MakeServer(estimator, 2);
-  const std::vector<ServedAnswer> answers = server->AnswerBatch(workload);
+  const std::vector<ServedAnswer> answers =
+      server->AnswerBatch(CountRequests(workload));
 
   CalibrationPoint point;
   point.lambda = lambda;
@@ -372,16 +375,17 @@ AdmissionResult MeasureAdmission(
   BETALIKE_CHECK(created.ok()) << created.status().ToString();
   QueryServer& server = **created;
 
-  const Span<AggregateQuery> all(workload);
+  const std::vector<ServedRequest> requests = CountRequests(workload);
+  const Span<ServedRequest> all(requests);
   constexpr int kBurst = 40;
   constexpr size_t kBatch = 1024;  // 40 x 1024 vs a cap of 2048: 20x
   std::vector<std::future<std::vector<ServedAnswer>>> futures;
   for (int b = 0; b < kBurst; ++b) {
-    const Span<AggregateQuery> slice =
+    const Span<ServedRequest> slice =
         all.Slice((static_cast<size_t>(b) * kBatch) % workload.size(), kBatch);
     ++result.submitted;
     auto submitted = server.SubmitBatch(
-        std::vector<AggregateQuery>(slice.data(), slice.data() + slice.size()));
+        std::vector<ServedRequest>(slice.data(), slice.data() + slice.size()));
     result.max_queued_seen =
         std::max(result.max_queued_seen, server.queued_requests());
     if (submitted.ok()) {
@@ -408,9 +412,9 @@ AdmissionResult MeasureAdmission(
     SubmitOptions expired;
     expired.deadline = std::chrono::steady_clock::now() -
                        std::chrono::milliseconds(1);
-    const Span<AggregateQuery> slice = all.Slice(0, 256);
+    const Span<ServedRequest> slice = all.Slice(0, 256);
     auto submitted = server.SubmitBatch(
-        std::vector<AggregateQuery>(slice.data(), slice.data() + slice.size()),
+        std::vector<ServedRequest>(slice.data(), slice.data() + slice.size()),
         expired);
     BETALIKE_CHECK(!submitted.ok() &&
                    submitted.status().code() == StatusCode::kDeadlineExceeded)
@@ -423,7 +427,7 @@ AdmissionResult MeasureAdmission(
   // (sanitizers) the tight window can elapse before submission — then
   // the batch is shed whole at the door, the other legal outcome.
   {
-    std::vector<AggregateQuery> batch(all.data(), all.data() + result.cap);
+    std::vector<ServedRequest> batch(all.data(), all.data() + result.cap);
     SubmitOptions tight;
     tight.deadline = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(200);
@@ -484,12 +488,14 @@ FairnessResult MeasureFairness(
   QueryServer& server = **created;
 
   BETALIKE_CHECK(workload.size() >= result.big_batch);
-  const std::vector<AggregateQuery> big(
-      workload.data(), workload.data() + result.big_batch);
-  const std::vector<AggregateQuery> small(
-      workload.data(), workload.data() + result.small_batch);
+  const std::vector<ServedRequest> requests = CountRequests(workload);
+  const std::vector<ServedRequest> big(
+      requests.data(), requests.data() + result.big_batch);
+  const std::vector<ServedRequest> small(
+      requests.data(), requests.data() + result.small_batch);
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> big_submitted{false};
   std::vector<double> big_us;
   std::thread big_client([&] {
     SubmitOptions submit;
@@ -498,6 +504,7 @@ FairnessResult MeasureFairness(
       const auto start = std::chrono::steady_clock::now();
       auto submitted = server.SubmitBatch(big, submit);
       BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
+      big_submitted.store(true);
       submitted->get();
       big_us.push_back(std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - start)
@@ -505,6 +512,10 @@ FairnessResult MeasureFairness(
     }
   });
 
+  // Time the small client only against a big batch already queued: on
+  // a loaded host the big client's thread can start after all the small
+  // batches are done, leaving nothing to compare against.
+  while (!big_submitted.load()) std::this_thread::yield();
   constexpr int kSmallBatches = 60;
   std::vector<double> small_us;
   small_us.reserve(kSmallBatches);

@@ -4,8 +4,9 @@
 // its SA value with probability `retention` and otherwise reports a
 // uniform draw from the SA domain (uniform randomized response). The
 // data recipient knows the mechanism, so aggregate queries are
-// answered by inverting it in expectation (reconstruction; see
-// query/estimator's EstimateFromPerturbed).
+// answered by inverting it in expectation (reconstruction; see the
+// perturbed Estimator that query/estimator's MakeEstimator builds from
+// a PublishedView::Perturbed).
 //
 // Perturbation runs equivalence class by equivalence class over an
 // existing publication and keeps the EC structure intact, so the

@@ -5,248 +5,14 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "query/row_filter.h"
 
 namespace betalike {
 namespace {
 
-// Fraction of `ec`'s box the query's QI predicates cover under uniform
-// spread, counting integer points; 0 when any predicate misses the
-// box.
-double BoxFraction(const EquivalenceClass& ec, const AggregateQuery& query) {
-  double fraction = 1.0;
-  for (const QueryPredicate& p : query.predicates) {
-    const int32_t box_lo = ec.qi_min[p.dim];
-    const int32_t box_hi = ec.qi_max[p.dim];
-    const int32_t lo = std::max(box_lo, p.lo);
-    const int32_t hi = std::min(box_hi, p.hi);
-    if (lo > hi) return 0.0;
-    fraction *= static_cast<double>(hi - lo + 1) /
-                static_cast<double>(box_hi - box_lo + 1);
-  }
-  return fraction;
-}
-
-// Single implementation behind EstimateFromAnatomized and the
-// anatomized Estimator: the estimate accumulation is identical in both
-// instantiations (the variance terms are separate expressions), so the
-// interface answers bitwise like the free function.
-template <bool kWithVariance>
-EstimateWithVariance AnatomizedCore(const AnatomizedTable& anatomized,
-                                    const AggregateQuery& query) {
-  const Table& source = anatomized.source();
-  const int64_t n = source.num_rows();
-
-  // Group-level SA fractions once per query, then one predicate scan
-  // over the exact QIT columns; matching rows contribute their group's
-  // fraction. Without an SA predicate the fractions are all 1 and the
-  // estimate collapses to the exact count.
-  std::vector<double> group_fraction;
-  if (query.has_sa_predicate()) {
-    group_fraction.reserve(anatomized.num_groups());
-    for (size_t g = 0; g < anatomized.num_groups(); ++g) {
-      group_fraction.push_back(
-          static_cast<double>(
-              anatomized.GroupSaCount(g, query.sa_lo, query.sa_hi)) /
-          static_cast<double>(anatomized.group_size(g)));
-    }
-  }
-
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
-  preds.reserve(query.predicates.size());
-  for (const QueryPredicate& p : query.predicates) {
-    preds.push_back({source.qi_column(p.dim).data(), p.lo, p.hi});
-  }
-
-  EstimateWithVariance out;
-  for (int64_t row = 0; row < n; ++row) {
-    bool match = true;
-    for (const FlatPredicate& p : preds) {
-      const int32_t v = p.column[row];
-      if (v < p.lo || v > p.hi) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    if (group_fraction.empty()) {
-      out.estimate += 1.0;  // exact QI match; no SA uncertainty
-    } else {
-      const double fraction = group_fraction[anatomized.group_of_row(row)];
-      out.estimate += fraction;
-      if constexpr (kWithVariance) {
-        // Under the within-group uniform-association model, a matching
-        // row carries the SA range with probability `fraction`:
-        // Bernoulli variance per row.
-        out.variance += fraction * (1.0 - fraction);
-      }
-    }
-  }
-  return out;
-}
-
-// SUM(SA) over an Anatomy view. A QIT-matching row's SA value is
-// unknown (the group's linkage is broken), so it contributes the
-// group's mean masked value E[v·1{v in range}] — which sums to the
-// exact group total when a whole group matches — with per-row variance
-// E[v²·1] - E[v·1]² from the same histogram moments.
-EstimateWithVariance AnatomizedSumCore(const AnatomizedTable& anatomized,
-                                       const AggregateQuery& query) {
-  const Table& source = anatomized.source();
-  const int64_t n = source.num_rows();
-  const int32_t num_values = source.sa_spec().num_values;
-  int32_t lo = 0;
-  int32_t hi = num_values - 1;
-  if (query.has_sa_predicate()) {
-    lo = query.sa_lo;
-    hi = query.sa_hi;
-  }
-
-  std::vector<double> group_mean;
-  std::vector<double> group_var;
-  group_mean.reserve(anatomized.num_groups());
-  group_var.reserve(anatomized.num_groups());
-  for (size_t g = 0; g < anatomized.num_groups(); ++g) {
-    const double inv = 1.0 / static_cast<double>(anatomized.group_size(g));
-    const double mean =
-        static_cast<double>(anatomized.GroupSaValueSum(g, lo, hi)) * inv;
-    const double second =
-        static_cast<double>(anatomized.GroupSaValueSquareSum(g, lo, hi)) *
-        inv;
-    group_mean.push_back(mean);
-    // Non-negative mathematically; the max guards FP rounding only.
-    group_var.push_back(std::max(0.0, second - mean * mean));
-  }
-
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
-  preds.reserve(query.predicates.size());
-  for (const QueryPredicate& p : query.predicates) {
-    preds.push_back({source.qi_column(p.dim).data(), p.lo, p.hi});
-  }
-
-  EstimateWithVariance out;
-  for (int64_t row = 0; row < n; ++row) {
-    bool match = true;
-    for (const FlatPredicate& p : preds) {
-      const int32_t v = p.column[row];
-      if (v < p.lo || v > p.hi) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    const int32_t g = anatomized.group_of_row(row);
-    out.estimate += group_mean[g];
-    out.variance += group_var[g];
-  }
-  return out;
-}
-
-// SUM(SA) over a perturbed view: each class's per-value counts are
-// reconstructed independently (the width-1 instance of the count
-// path's formula, so GROUP-BY slots and this sum agree on the same
-// ĉ_v), value-weighted, then uniform-spread like the count estimate.
-EstimateWithVariance PerturbedSumCore(const PerturbedPublication& perturbed,
-                                      const EcSaIndex& index,
-                                      const AggregateQuery& query) {
-  const GeneralizedTable& published = perturbed.view;
-  const int32_t num_values = published.source().sa_spec().num_values;
-  int32_t lo = 0;
-  int32_t hi = num_values - 1;
-  if (query.has_sa_predicate()) {
-    lo = std::max(query.sa_lo, 0);
-    hi = std::min(query.sa_hi, num_values - 1);
-    if (lo > hi) return {};
-  }
-
-  EstimateWithVariance out;
-  for (size_t e = 0; e < published.num_ecs(); ++e) {
-    const EquivalenceClass& ec = published.ec(e);
-    const double fraction = BoxFraction(ec, query);
-    if (fraction == 0.0) continue;
-    const double size = static_cast<double>(ec.size());
-    double class_sum = 0.0;
-    double recon_var = 0.0;
-    for (int32_t v = lo; v <= hi; ++v) {
-      const double noisy = static_cast<double>(index.Count(e, v, v));
-      const double expected_noise = size * (1.0 - perturbed.retention) /
-                                    static_cast<double>(num_values);
-      const double reconstructed = std::clamp(
-          (noisy - expected_noise) / perturbed.retention, 0.0, size);
-      class_sum += reconstructed * static_cast<double>(v);
-      const double rate = noisy / size;
-      recon_var += static_cast<double>(v) * static_cast<double>(v) * size *
-                   rate * (1.0 - rate) /
-                   (perturbed.retention * perturbed.retention);
-    }
-    out.estimate += fraction * class_sum;
-    out.variance += fraction * fraction * recon_var +
-                    fraction * (1.0 - fraction) * class_sum * class_sum;
-  }
-  return out;
-}
-
-// Single implementation behind EstimateFromPerturbed and the perturbed
-// Estimator (same identity argument as AnatomizedCore).
-template <bool kWithVariance>
-EstimateWithVariance PerturbedCore(const PerturbedPublication& perturbed,
-                                   const EcSaIndex& index,
-                                   const AggregateQuery& query) {
-  const GeneralizedTable& published = perturbed.view;
-  const int32_t num_values = published.source().sa_spec().num_values;
-  double width = 0.0;
-  if (query.has_sa_predicate()) {
-    const int32_t lo = std::max(query.sa_lo, 0);
-    const int32_t hi = std::min(query.sa_hi, num_values - 1);
-    if (lo > hi) return {};
-    width = static_cast<double>(hi - lo + 1);
-  }
-
-  EstimateWithVariance out;
-  for (size_t e = 0; e < published.num_ecs(); ++e) {
-    const EquivalenceClass& ec = published.ec(e);
-    const double fraction = BoxFraction(ec, query);
-    if (fraction == 0.0) continue;
-    const double size = static_cast<double>(ec.size());
-    double matching = size;
-    if (query.has_sa_predicate()) {
-      const double noisy =
-          static_cast<double>(index.Count(e, query.sa_lo, query.sa_hi));
-      const double expected_noise = size * (1.0 - perturbed.retention) *
-                                    width / static_cast<double>(num_values);
-      matching = std::clamp((noisy - expected_noise) / perturbed.retention,
-                            0.0, size);
-      if constexpr (kWithVariance) {
-        // The observed in-range count is a sum of per-tuple Bernoulli
-        // reports; its variance (estimated from the observed rate) is
-        // inflated by 1/ρ² when the mechanism is inverted.
-        const double rate = noisy / size;
-        out.variance += fraction * fraction * size * rate * (1.0 - rate) /
-                        (perturbed.retention * perturbed.retention);
-      }
-    }
-    out.estimate += fraction * matching;
-    if constexpr (kWithVariance) {
-      // Clustered-spread term; see the generalized estimator for the
-      // f(1-f)·m² model.
-      out.variance += fraction * (1.0 - fraction) * matching * matching;
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Generalized-table estimator: flattened per-EC box summaries plus a
-// conservative per-dimension overlap prune.
+// Box index over a publication's equivalence classes: flattened per-EC
+// box summaries plus a conservative per-dimension overlap prune.
 //
 // The serving layer answers millions of point queries from one
 // publication, so the per-query cost is dominated by the scan over
@@ -261,9 +27,9 @@ EstimateWithVariance PerturbedCore(const PerturbedPublication& perturbed,
 //     a *superset* of the classes overlapping all predicates, so
 //     skipping the rest drops only zero-contribution classes.
 //
-// Surviving classes are evaluated in ascending class order with the
-// exact operation sequence of EstimateFromGeneralized, which keeps the
-// estimate bit-identical to the legacy scan.
+// ForEachOverlapping is the one EC loop of the query layer: the
+// generalized and perturbed estimators all visit their classes through
+// it, in ascending class order.
 // ---------------------------------------------------------------------------
 
 constexpr int kPruneCells = 128;
@@ -298,46 +64,68 @@ class GeneralizedBoxIndex {
         // containing box_lo upward; box_hi >= lower_edge(c) for every
         // cell up to the one containing box_hi.
         for (int c = Cell(d, ec.qi_min[d]); c < kPruneCells; ++c) {
-          TableWord(d, /*b_table=*/false, c)[word] |= bit;
+          overlap_bits_[BitsetOffset(d, /*b_table=*/false, c) + word] |= bit;
         }
         for (int c = Cell(d, ec.qi_max[d]); c >= 0; --c) {
-          TableWord(d, /*b_table=*/true, c)[word] |= bit;
+          overlap_bits_[BitsetOffset(d, /*b_table=*/true, c) + word] |= bit;
         }
       }
     }
   }
 
-  size_t num_ecs() const { return num_ecs_; }
-  size_t words() const { return words_; }
+  const TableSchema& schema() const { return schema_; }
   double size(size_t e) const { return sizes_[e]; }
-  int32_t box_lo(size_t e, int d) const {
-    return boxes_[(e * num_dims_ + d) * 2 + 0];
-  }
-  int32_t box_hi(size_t e, int d) const {
-    return boxes_[(e * num_dims_ + d) * 2 + 1];
-  }
 
-  // Fills `mask` (words() words) with a superset of the classes whose
-  // box overlaps every predicate of `query`; all-ones (over the EC
-  // range) for an unconstrained query.
-  void CandidateMask(const AggregateQuery& query,
-                     std::vector<uint64_t>* mask) const {
-    mask->assign(words_, 0);
+  // Calls visit(e, fraction) for every class whose box overlaps every
+  // QI predicate of `query`, in ascending class order. `fraction` is
+  // the share of the class's box the predicates cover under uniform
+  // spread, Π_d |box_d ∩ range_d| / |box_d| counting integer points
+  // (1 for a query without QI predicates). Classes the bitset prune
+  // skips, and the false positives the exact test rejects, are exactly
+  // those whose fraction would be 0.
+  template <typename Visit>
+  void ForEachOverlapping(const AggregateQuery& query, Visit&& visit) const {
+    // Candidate mask: a superset of the overlapping classes, all-ones
+    // (over the EC range) for a query without QI predicates. Per-thread
+    // scratch: the index is shared across serving threads.
+    thread_local std::vector<uint64_t> mask;
+    mask.assign(words_, 0);
     bool first = true;
     for (const QueryPredicate& p : query.predicates) {
-      const uint64_t* a = TableWordConst(p.dim, false, Cell(p.dim, p.hi));
-      const uint64_t* b = TableWordConst(p.dim, true, Cell(p.dim, p.lo));
-      if (first) {
-        for (size_t w = 0; w < words_; ++w) (*mask)[w] = a[w] & b[w];
-        first = false;
-      } else {
-        for (size_t w = 0; w < words_; ++w) (*mask)[w] &= a[w] & b[w];
+      const uint64_t* a =
+          overlap_bits_.data() + BitsetOffset(p.dim, false, Cell(p.dim, p.hi));
+      const uint64_t* b =
+          overlap_bits_.data() + BitsetOffset(p.dim, true, Cell(p.dim, p.lo));
+      for (size_t w = 0; w < words_; ++w) {
+        mask[w] = (first ? a[w] : mask[w] & a[w]) & b[w];
       }
+      first = false;
     }
     if (first) {
-      // No QI predicates: every class is a candidate.
       for (size_t e = 0; e < num_ecs_; ++e) {
-        (*mask)[e / 64] |= uint64_t{1} << (e % 64);
+        mask[e / 64] |= uint64_t{1} << (e % 64);
+      }
+    }
+    for (size_t w = 0; w < words_; ++w) {
+      uint64_t bits = mask[w];
+      while (bits != 0) {
+        const size_t e = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        bits &= bits - 1;
+        double fraction = 1.0;
+        bool overlap = true;
+        for (const QueryPredicate& p : query.predicates) {
+          const int32_t box_lo = boxes_[(e * num_dims_ + p.dim) * 2];
+          const int32_t box_hi = boxes_[(e * num_dims_ + p.dim) * 2 + 1];
+          const int32_t lo = std::max(box_lo, p.lo);
+          const int32_t hi = std::min(box_hi, p.hi);
+          if (lo > hi) {
+            overlap = false;
+            break;
+          }
+          fraction *= static_cast<double>(hi - lo + 1) /
+                      static_cast<double>(box_hi - box_lo + 1);
+        }
+        if (overlap) visit(e, fraction);
       }
     }
   }
@@ -354,17 +142,11 @@ class GeneralizedBoxIndex {
     return static_cast<int>(offset * kPruneCells / (spec.extent() + 1));
   }
 
-  uint64_t* TableWord(int d, bool b_table, int c) {
-    return overlap_bits_.data() +
-           ((static_cast<size_t>(d) * 2 + (b_table ? 1 : 0)) * kPruneCells +
+  // Offset of the (A or B) bitset of cell `c` on dimension `d`.
+  size_t BitsetOffset(int d, bool b_table, int c) const {
+    return ((static_cast<size_t>(d) * 2 + (b_table ? 1 : 0)) * kPruneCells +
             c) *
-               words_;
-  }
-  const uint64_t* TableWordConst(int d, bool b_table, int c) const {
-    return overlap_bits_.data() +
-           ((static_cast<size_t>(d) * 2 + (b_table ? 1 : 0)) * kPruneCells +
-            c) *
-               words_;
+           words_;
   }
 
   TableSchema schema_;
@@ -376,6 +158,9 @@ class GeneralizedBoxIndex {
   std::vector<uint64_t> overlap_bits_;
 };
 
+// Uniform spread over generalized boxes: every overlapping class
+// contributes its count of tuples matching the SA predicate (all
+// tuples when there is none) times its covered box fraction.
 class GeneralizedEstimator final : public Estimator {
  public:
   explicit GeneralizedEstimator(
@@ -386,23 +171,36 @@ class GeneralizedEstimator final : public Estimator {
         num_values_(published_->source().sa_spec().num_values) {}
 
   std::string Name() const override { return "generalized"; }
-
-  double Estimate(const AggregateQuery& query) const override {
-    return EstimateImpl<false>(query).estimate;
-  }
-  EstimateWithVariance EstimateWithUncertainty(
-      const AggregateQuery& query) const override {
-    return EstimateImpl<true>(query);
+  Status Validate(const AggregateQuery& query) const override {
+    return ValidateQuery(boxes_.schema(), query);
   }
   int32_t sa_num_values() const override { return num_values_; }
 
+  EstimateWithVariance EstimateWithUncertainty(
+      const AggregateQuery& query) const override {
+    const bool sa = query.has_sa_predicate();
+    EstimateWithVariance out;
+    boxes_.ForEachOverlapping(query, [&](size_t e, double fraction) {
+      const double matching =
+          sa ? static_cast<double>(
+                   sa_index_.Count(e, query.sa_lo, query.sa_hi))
+             : boxes_.size(e);
+      out.estimate += fraction * matching;
+      // Clustered-spread variance f(1-f)·m²: a class's matching tuples
+      // sit in correlated clumps, not independently (Binomial f(1-f)·m
+      // covers only ~56% of truths at nominal 95% on CENSUS; treating
+      // each class as one all-or-nothing block lands 0.93–0.96 across
+      // the fig8 vary-λ panel).
+      out.variance += fraction * (1.0 - fraction) * matching * matching;
+    });
+    return out;
+  }
+
   // Uniform spread of each class's exact in-range SA value sum — the
-  // SUM analogue of the count path, with the same candidate prune and
-  // the clustered f(1-f)·s² variance per class.
+  // SUM analogue of the count path, with the clustered f(1-f)·s²
+  // variance per class.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
-    thread_local std::vector<uint64_t> mask;
-    boxes_.CandidateMask(query, &mask);
     int32_t lo = 0;
     int32_t hi = num_values_ - 1;
     if (query.has_sa_predicate()) {
@@ -410,145 +208,212 @@ class GeneralizedEstimator final : public Estimator {
       hi = query.sa_hi;
     }
     EstimateWithVariance out;
-    for (size_t w = 0; w < boxes_.words(); ++w) {
-      uint64_t bits = mask[w];
-      while (bits != 0) {
-        const size_t e = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        double fraction = 1.0;
-        bool overlap = true;
-        for (const QueryPredicate& p : query.predicates) {
-          const int32_t box_lo = boxes_.box_lo(e, p.dim);
-          const int32_t box_hi = boxes_.box_hi(e, p.dim);
-          const int32_t plo = std::max(box_lo, p.lo);
-          const int32_t phi = std::min(box_hi, p.hi);
-          if (plo > phi) {
-            overlap = false;
-            break;
-          }
-          fraction *= static_cast<double>(phi - plo + 1) /
-                      static_cast<double>(box_hi - box_lo + 1);
-        }
-        if (!overlap) continue;
-        const double sum =
-            static_cast<double>(sa_index_.ValueSum(e, lo, hi));
-        out.estimate += fraction * sum;
-        out.variance += fraction * (1.0 - fraction) * sum * sum;
-      }
-    }
+    boxes_.ForEachOverlapping(query, [&](size_t e, double fraction) {
+      const double sum = static_cast<double>(sa_index_.ValueSum(e, lo, hi));
+      out.estimate += fraction * sum;
+      out.variance += fraction * (1.0 - fraction) * sum * sum;
+    });
     return out;
   }
 
  private:
-  template <bool kWithVariance>
-  EstimateWithVariance EstimateImpl(const AggregateQuery& query) const {
-    // Per-thread scratch: the index is shared across serving threads,
-    // so the candidate mask cannot live in the estimator.
-    thread_local std::vector<uint64_t> mask;
-    boxes_.CandidateMask(query, &mask);
-
-    EstimateWithVariance out;
-    const bool sa = query.has_sa_predicate();
-    for (size_t w = 0; w < boxes_.words(); ++w) {
-      uint64_t bits = mask[w];
-      while (bits != 0) {
-        const size_t e = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        // Exact evaluation, same operation sequence as BoxFraction +
-        // the legacy indexed scan (candidates are a superset, so the
-        // lo > hi reject below still filters false positives).
-        double fraction = 1.0;
-        bool overlap = true;
-        for (const QueryPredicate& p : query.predicates) {
-          const int32_t box_lo = boxes_.box_lo(e, p.dim);
-          const int32_t box_hi = boxes_.box_hi(e, p.dim);
-          const int32_t lo = std::max(box_lo, p.lo);
-          const int32_t hi = std::min(box_hi, p.hi);
-          if (lo > hi) {
-            overlap = false;
-            break;
-          }
-          fraction *= static_cast<double>(hi - lo + 1) /
-                      static_cast<double>(box_hi - box_lo + 1);
-        }
-        if (!overlap) continue;
-        const double matching =
-            sa ? static_cast<double>(
-                     sa_index_.Count(e, query.sa_lo, query.sa_hi))
-               : boxes_.size(e);
-        out.estimate += fraction * matching;
-        if constexpr (kWithVariance) {
-          // Clustered-spread variance f(1-f)·m²: a class's matching
-          // tuples sit in correlated clumps, not independently
-          // (Binomial f(1-f)·m covers only ~56% of truths at nominal
-          // 95% on CENSUS; treating each class as one all-or-nothing
-          // block lands 0.93–0.96 across the fig8 vary-λ panel).
-          out.variance += fraction * (1.0 - fraction) * matching * matching;
-        }
-      }
-    }
-    return out;
-  }
-
   std::shared_ptr<const GeneralizedTable> published_;
   EcSaIndex sa_index_;
   GeneralizedBoxIndex boxes_;
   int32_t num_values_;
 };
 
+// Exact QI values, group-level SA histograms: rows matching the QI
+// predicates are selected exactly (the QIT publishes exact values) and
+// each contributes its group's share of the SA predicate.
 class AnatomizedEstimator final : public Estimator {
  public:
   explicit AnatomizedEstimator(std::shared_ptr<const AnatomizedTable> view)
       : view_(std::move(view)) {}
 
   std::string Name() const override { return "anatomized"; }
-
-  double Estimate(const AggregateQuery& query) const override {
-    return AnatomizedCore<false>(*view_, query).estimate;
-  }
-  EstimateWithVariance EstimateWithUncertainty(
-      const AggregateQuery& query) const override {
-    return AnatomizedCore<true>(*view_, query);
+  Status Validate(const AggregateQuery& query) const override {
+    return ValidateQuery(view_->source().schema(), query);
   }
   int32_t sa_num_values() const override {
     return view_->source().sa_spec().num_values;
   }
+
+  // Without an SA predicate the QIT answers exactly: the matching-row
+  // count. With one, under the within-group uniform-association model a
+  // matching row carries the SA range with its group's probability
+  // `fraction`: Bernoulli mean and variance per row.
+  EstimateWithVariance EstimateWithUncertainty(
+      const AggregateQuery& query) const override {
+    const AnatomizedTable& view = *view_;
+    if (!query.has_sa_predicate()) {
+      EstimateWithVariance out;
+      ForEachMatchingRow(view.num_rows(), QiRanges(query),
+                         [&out](int64_t) { out.estimate += 1.0; });
+      return out;
+    }
+    return SumOverMatchingRows(query, [&](size_t g) {
+      const double fraction =
+          static_cast<double>(view.GroupSaCount(g, query.sa_lo, query.sa_hi)) /
+          static_cast<double>(view.group_size(g));
+      return EstimateWithVariance{fraction, fraction * (1.0 - fraction)};
+    });
+  }
+
+  // A QIT-matching row's SA value is unknown (the group's linkage is
+  // broken), so it contributes the group's mean masked value
+  // E[v·1{v in range}] — which sums to the exact group total when a
+  // whole group matches — with per-row variance E[v²·1] - E[v·1]² from
+  // the same histogram moments.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
-    return AnatomizedSumCore(*view_, query);
+    const AnatomizedTable& view = *view_;
+    int32_t lo = 0;
+    int32_t hi = sa_num_values() - 1;
+    if (query.has_sa_predicate()) {
+      lo = query.sa_lo;
+      hi = query.sa_hi;
+    }
+    return SumOverMatchingRows(query, [&](size_t g) {
+      const double inv = 1.0 / static_cast<double>(view.group_size(g));
+      const double mean =
+          static_cast<double>(view.GroupSaValueSum(g, lo, hi)) * inv;
+      const double second =
+          static_cast<double>(view.GroupSaValueSquareSum(g, lo, hi)) * inv;
+      // Non-negative mathematically; the max guards FP rounding only.
+      return EstimateWithVariance{mean, std::max(0.0, second - mean * mean)};
+    });
   }
 
  private:
+  // The query's QI predicates as kernel ranges. The SA column is what
+  // Anatomy withholds per row, so an SA predicate acts only through the
+  // group histograms.
+  std::vector<ColumnRange> QiRanges(const AggregateQuery& query) const {
+    return QueryRanges(view_->source(), query, /*with_sa=*/false);
+  }
+
+  // Σ over the rows matching the QI predicates of their group's per-row
+  // {mean, variance}, `moments(g)` evaluated once per group.
+  template <typename GroupMoments>
+  EstimateWithVariance SumOverMatchingRows(const AggregateQuery& query,
+                                           GroupMoments moments) const {
+    const AnatomizedTable& view = *view_;
+    std::vector<EstimateWithVariance> per_group;
+    per_group.reserve(view.num_groups());
+    for (size_t g = 0; g < view.num_groups(); ++g) {
+      per_group.push_back(moments(g));
+    }
+    EstimateWithVariance out;
+    ForEachMatchingRow(view.num_rows(), QiRanges(query), [&](int64_t row) {
+      const EstimateWithVariance& m = per_group[view.group_of_row(row)];
+      out.estimate += m.estimate;
+      out.variance += m.variance;
+    });
+    return out;
+  }
+
   std::shared_ptr<const AnatomizedTable> view_;
 };
 
+// Uniform spread over the boxes of a randomized-response view, with
+// each class's SA counts reconstructed from the perturbed ones —
+// ĉ = (ñ - n (1 - ρ) w / |SA|) / ρ for a range covering w of |SA|
+// values, clamped to [0, n].
 class PerturbedEstimator final : public Estimator {
  public:
   explicit PerturbedEstimator(
       std::shared_ptr<const PerturbedPublication> publication)
       : publication_(std::move(publication)),
-        sa_index_(publication_->view) {}
+        sa_index_(publication_->view),
+        boxes_(publication_->view),
+        retention_(publication_->retention),
+        num_values_(publication_->view.source().sa_spec().num_values) {}
 
   std::string Name() const override { return "perturbed"; }
-
-  double Estimate(const AggregateQuery& query) const override {
-    return PerturbedCore<false>(*publication_, sa_index_, query).estimate;
+  Status Validate(const AggregateQuery& query) const override {
+    return ValidateQuery(boxes_.schema(), query);
   }
+  int32_t sa_num_values() const override { return num_values_; }
+
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery& query) const override {
-    return PerturbedCore<true>(*publication_, sa_index_, query);
+    const bool sa = query.has_sa_predicate();
+    double width = 0.0;
+    if (sa) {
+      const int32_t lo = std::max(query.sa_lo, 0);
+      const int32_t hi = std::min(query.sa_hi, num_values_ - 1);
+      if (lo > hi) return {};
+      width = static_cast<double>(hi - lo + 1);
+    }
+    EstimateWithVariance out;
+    boxes_.ForEachOverlapping(query, [&](size_t e, double fraction) {
+      const double size = boxes_.size(e);
+      double matching = size;
+      if (sa) {
+        const double noisy =
+            static_cast<double>(sa_index_.Count(e, query.sa_lo, query.sa_hi));
+        const double expected_noise = size * (1.0 - retention_) * width /
+                                      static_cast<double>(num_values_);
+        matching =
+            std::clamp((noisy - expected_noise) / retention_, 0.0, size);
+        // The observed in-range count is a sum of per-tuple Bernoulli
+        // reports; its variance (estimated from the observed rate) is
+        // inflated by 1/ρ² when the mechanism is inverted.
+        const double rate = noisy / size;
+        out.variance += fraction * fraction * size * rate * (1.0 - rate) /
+                        (retention_ * retention_);
+      }
+      out.estimate += fraction * matching;
+      // Clustered-spread term; see the generalized estimator for the
+      // f(1-f)·m² model.
+      out.variance += fraction * (1.0 - fraction) * matching * matching;
+    });
+    return out;
   }
-  int32_t sa_num_values() const override {
-    return publication_->view.source().sa_spec().num_values;
-  }
+
+  // Each class's per-value counts are reconstructed independently (the
+  // width-1 instance of the count path's formula, so GROUP-BY slots and
+  // this sum agree on the same ĉ_v), value-weighted, then
+  // uniform-spread like the count estimate.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
-    return PerturbedSumCore(*publication_, sa_index_, query);
+    int32_t lo = 0;
+    int32_t hi = num_values_ - 1;
+    if (query.has_sa_predicate()) {
+      lo = std::max(query.sa_lo, 0);
+      hi = std::min(query.sa_hi, num_values_ - 1);
+      if (lo > hi) return {};
+    }
+    EstimateWithVariance out;
+    boxes_.ForEachOverlapping(query, [&](size_t e, double fraction) {
+      const double size = boxes_.size(e);
+      double class_sum = 0.0;
+      double recon_var = 0.0;
+      for (int32_t v = lo; v <= hi; ++v) {
+        const double noisy = static_cast<double>(sa_index_.Count(e, v, v));
+        const double expected_noise =
+            size * (1.0 - retention_) / static_cast<double>(num_values_);
+        const double reconstructed =
+            std::clamp((noisy - expected_noise) / retention_, 0.0, size);
+        class_sum += reconstructed * static_cast<double>(v);
+        const double rate = noisy / size;
+        recon_var += static_cast<double>(v) * static_cast<double>(v) * size *
+                     rate * (1.0 - rate) / (retention_ * retention_);
+      }
+      out.estimate += fraction * class_sum;
+      out.variance += fraction * fraction * recon_var +
+                      fraction * (1.0 - fraction) * class_sum * class_sum;
+    });
+    return out;
   }
 
  private:
   std::shared_ptr<const PerturbedPublication> publication_;
   EcSaIndex sa_index_;
+  GeneralizedBoxIndex boxes_;
+  double retention_;
+  int32_t num_values_;
 };
 
 }  // namespace
@@ -618,55 +483,6 @@ Result<std::unique_ptr<Estimator>> MakeEstimator(const PublishedView& view) {
     }
   }
   return Status::Internal("unreachable PublishedView kind");
-}
-
-double EstimateFromGeneralized(const GeneralizedTable& published,
-                               const AggregateQuery& query) {
-  const Table& source = published.source();
-  double total = 0.0;
-  for (const EquivalenceClass& ec : published.ecs()) {
-    const double fraction = BoxFraction(ec, query);
-    if (fraction == 0.0) continue;
-    double matching = static_cast<double>(ec.size());
-    if (query.has_sa_predicate()) {
-      int64_t count = 0;
-      for (int64_t row : ec.rows) {
-        const int32_t v = source.sa_value(row);
-        if (v >= query.sa_lo && v <= query.sa_hi) ++count;
-      }
-      matching = static_cast<double>(count);
-    }
-    total += fraction * matching;
-  }
-  return total;
-}
-
-double EstimateFromGeneralized(const GeneralizedTable& published,
-                               const EcSaIndex& index,
-                               const AggregateQuery& query) {
-  double total = 0.0;
-  for (size_t e = 0; e < published.num_ecs(); ++e) {
-    const EquivalenceClass& ec = published.ec(e);
-    const double fraction = BoxFraction(ec, query);
-    if (fraction == 0.0) continue;
-    const double matching =
-        query.has_sa_predicate()
-            ? static_cast<double>(index.Count(e, query.sa_lo, query.sa_hi))
-            : static_cast<double>(ec.size());
-    total += fraction * matching;
-  }
-  return total;
-}
-
-double EstimateFromAnatomized(const AnatomizedTable& anatomized,
-                              const AggregateQuery& query) {
-  return AnatomizedCore<false>(anatomized, query).estimate;
-}
-
-double EstimateFromPerturbed(const PerturbedPublication& perturbed,
-                             const EcSaIndex& index,
-                             const AggregateQuery& query) {
-  return PerturbedCore<false>(perturbed, index, query).estimate;
 }
 
 WorkloadError EvaluateWorkloadWithTruth(

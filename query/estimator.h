@@ -16,12 +16,14 @@
 // All three shapes are served through one polymorphic interface:
 // MakeEstimator(PublishedView) resolves the shape the way
 // MakeAnonymizer resolves a scheme name, and the returned Estimator is
-// immutable after construction — its per-publication index (EcSaIndex
-// plus flattened per-EC box summaries) is precomputed once, so one
-// instance can answer queries from many threads concurrently (the
-// serve/ layer relies on this). Estimates are bit-identical to the
-// legacy per-shape free functions, which remain below as thin
-// deprecated wrappers.
+// immutable after construction — its per-publication index is
+// precomputed once, so one instance can answer queries from many
+// threads concurrently (the serve/ layer relies on this). Two
+// operations do all the work: the row-selection kernel
+// (query/row_filter.h) picks the raw rows matching a query's ranges
+// for Anatomy and the Precise* ground truth, and one box index visits
+// the equivalence classes overlapping a query for the generalized and
+// perturbed shapes.
 //
 // Workload-level accuracy is aggregated as median relative error, the
 // paper's Figures 8/9 metric.
@@ -49,7 +51,8 @@ namespace betalike {
 // because real tuples land in a class's box in correlated clumps, not
 // independently; perturbed shapes add randomized-response
 // reconstruction noise. The serving layer turns the variance into a
-// confidence interval; `estimate` is always identical to Estimate().
+// confidence interval. The estimate is accumulated independently of
+// the variance, so it is bitwise the estimator's Estimate().
 struct EstimateWithVariance {
   double estimate = 0.0;
   double variance = 0.0;
@@ -65,15 +68,25 @@ class Estimator {
   // Stable display name ("generalized", "anatomized", "perturbed").
   virtual std::string Name() const = 0;
 
-  // COUNT(*) estimate of `query` over the wrapped publication,
-  // bit-identical to the matching legacy free function below.
-  virtual double Estimate(const AggregateQuery& query) const = 0;
+  // Ok iff `query` is well-formed against the wrapped publication's
+  // schema (ValidateQuery). Every shape answers only validated
+  // queries: a predicate on a dimension outside the schema reads out
+  // of bounds. The serving layer checks each request here first. The
+  // base accepts everything, so decorators that forward to a
+  // validating estimator need not override it.
+  virtual Status Validate(const AggregateQuery& /*query*/) const {
+    return Status::Ok();
+  }
 
-  // As Estimate(), plus the model variance of the answer. The estimate
-  // field is computed by the identical operation sequence, so it
-  // equals Estimate(query) bitwise.
+  // COUNT(*) estimate of `query` over the wrapped publication with the
+  // model variance of the answer.
   virtual EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery& query) const = 0;
+
+  // The point estimate alone. Virtual so decorators can intercept it.
+  virtual double Estimate(const AggregateQuery& query) const {
+    return EstimateWithUncertainty(query).estimate;
+  }
 
   // SA domain size of the wrapped publication; GROUP-BY answers carry
   // one slot per value code 0..sa_num_values()-1.
@@ -115,44 +128,6 @@ class Estimator {
 // degenerate publication (no equivalence classes / groups, or a
 // perturbed view whose retention lies outside (0, 1]).
 Result<std::unique_ptr<Estimator>> MakeEstimator(const PublishedView& view);
-
-// ---------------------------------------------------------------------------
-// Legacy per-shape entry points. DEPRECATED: new code should construct
-// an Estimator through MakeEstimator, which answers identically and
-// amortizes the per-publication index. These remain as thin wrappers
-// for callers holding a bare publication.
-// ---------------------------------------------------------------------------
-
-// Uniform-spread estimate of `query`'s count over `published`: every
-// equivalence class contributes its count of tuples matching the SA
-// predicate (all tuples when there is none) times Π_d
-// |box_d ∩ range_d| / |box_d| over the query's QI predicates, counting
-// integer points. This overload recounts SA matches by scanning each
-// class's rows — the reference path; the Estimator uses an index.
-double EstimateFromGeneralized(const GeneralizedTable& published,
-                               const AggregateQuery& query);
-
-// As above with the SA range counts taken from `index` (which must be
-// built over `published`).
-double EstimateFromGeneralized(const GeneralizedTable& published,
-                               const EcSaIndex& index,
-                               const AggregateQuery& query);
-
-// Anatomy estimate: rows matching the QI predicates are counted
-// exactly (QIT publishes exact QI values), each contributing the
-// fraction of its group's SA histogram that matches the SA predicate
-// (1 when there is none, which makes the estimate exact).
-double EstimateFromAnatomized(const AnatomizedTable& anatomized,
-                              const AggregateQuery& query);
-
-// Perturbed-publication estimate: uniform spread over the boxes of
-// `perturbed.view`, with each class's SA range count reconstructed
-// from the perturbed counts — ĉ = (ñ - n (1 - ρ) w / |SA|) / ρ for a
-// range covering w of |SA| values, clamped to [0, n]. `index` must be
-// built over `perturbed.view`.
-double EstimateFromPerturbed(const PerturbedPublication& perturbed,
-                             const EcSaIndex& index,
-                             const AggregateQuery& query);
 
 // Accuracy aggregate of one (publication, workload) evaluation. Errors
 // are percentages: 100 * |estimate - truth| / max(truth, 1), with the

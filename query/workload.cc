@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "query/row_filter.h"
 
 namespace betalike {
 
@@ -46,19 +47,24 @@ Status ValidateWorkloadOptions(const TableSchema& schema,
 }
 
 Status ValidateQuery(const TableSchema& schema, const AggregateQuery& query) {
-  std::vector<bool> seen(schema.qi.size(), false);
-  for (const QueryPredicate& p : query.predicates) {
-    if (p.dim < 0 || p.dim >= schema.num_qi()) {
+  // O(p²) duplicate scan: p is a handful of predicates, and this runs
+  // once per served request, so it must not allocate.
+  const std::vector<QueryPredicate>& preds = query.predicates;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    const int dim = preds[i].dim;
+    if (dim < 0 || dim >= schema.num_qi()) {
       return Status::InvalidArgument(StrFormat(
-          "predicate dimension %d outside [0, %d)", p.dim, schema.num_qi()));
+          "predicate dimension %d outside [0, %d)", dim, schema.num_qi()));
     }
-    if (seen[p.dim]) {
-      return Status::InvalidArgument(StrFormat(
-          "duplicate predicate on dimension %d (box estimators would "
-          "multiply the two fractions instead of intersecting the ranges)",
-          p.dim));
+    for (size_t j = 0; j < i; ++j) {
+      if (preds[j].dim == dim) {
+        return Status::InvalidArgument(StrFormat(
+            "duplicate predicate on dimension %d (box estimators would "
+            "multiply the two fractions instead of intersecting the "
+            "ranges)",
+            dim));
+      }
     }
-    seen[p.dim] = true;
   }
   return Status::Ok();
 }
@@ -161,36 +167,11 @@ std::vector<int64_t> PreciseCounts(
     const Table& table, const std::vector<AggregateQuery>& workload) {
   std::vector<int64_t> counts;
   counts.reserve(workload.size());
-  const int64_t n = table.num_rows();
-  // Raw column pointers hoisted out of the row loop: the scan is
-  // workload-size × table-size and dominates fig8's wall clock.
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
   for (const AggregateQuery& query : workload) {
-    preds.clear();
-    for (const QueryPredicate& p : query.predicates) {
-      preds.push_back({table.qi_column(p.dim).data(), p.lo, p.hi});
-    }
-    if (query.has_sa_predicate()) {
-      // The SA column scans exactly like one more range predicate.
-      preds.push_back({table.sa_column().data(), query.sa_lo, query.sa_hi});
-    }
     int64_t count = 0;
-    for (int64_t row = 0; row < n; ++row) {
-      bool match = true;
-      for (const FlatPredicate& p : preds) {
-        const int32_t v = p.column[row];
-        if (v < p.lo || v > p.hi) {
-          match = false;
-          break;
-        }
-      }
-      count += match ? 1 : 0;
-    }
+    ForEachMatchingRow(table.num_rows(),
+                       QueryRanges(table, query, /*with_sa=*/true),
+                       [&count](int64_t) { ++count; });
     counts.push_back(count);
   }
   return counts;
@@ -200,34 +181,12 @@ std::vector<int64_t> PreciseSums(
     const Table& table, const std::vector<AggregateQuery>& workload) {
   std::vector<int64_t> sums;
   sums.reserve(workload.size());
-  const int64_t n = table.num_rows();
   const int32_t* sa = table.sa_column().data();
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
   for (const AggregateQuery& query : workload) {
-    preds.clear();
-    for (const QueryPredicate& p : query.predicates) {
-      preds.push_back({table.qi_column(p.dim).data(), p.lo, p.hi});
-    }
-    if (query.has_sa_predicate()) {
-      preds.push_back({sa, query.sa_lo, query.sa_hi});
-    }
     int64_t sum = 0;
-    for (int64_t row = 0; row < n; ++row) {
-      bool match = true;
-      for (const FlatPredicate& p : preds) {
-        const int32_t v = p.column[row];
-        if (v < p.lo || v > p.hi) {
-          match = false;
-          break;
-        }
-      }
-      sum += match ? sa[row] : 0;
-    }
+    ForEachMatchingRow(table.num_rows(),
+                       QueryRanges(table, query, /*with_sa=*/true),
+                       [&sum, sa](int64_t row) { sum += sa[row]; });
     sums.push_back(sum);
   }
   return sums;
@@ -237,35 +196,13 @@ std::vector<std::vector<int64_t>> PreciseGroupCounts(
     const Table& table, const std::vector<AggregateQuery>& workload) {
   std::vector<std::vector<int64_t>> groups;
   groups.reserve(workload.size());
-  const int64_t n = table.num_rows();
-  const int32_t num_values = table.sa_spec().num_values;
   const int32_t* sa = table.sa_column().data();
-  struct FlatPredicate {
-    const int32_t* column;
-    int32_t lo;
-    int32_t hi;
-  };
-  std::vector<FlatPredicate> preds;
   for (const AggregateQuery& query : workload) {
-    preds.clear();
-    for (const QueryPredicate& p : query.predicates) {
-      preds.push_back({table.qi_column(p.dim).data(), p.lo, p.hi});
-    }
-    if (query.has_sa_predicate()) {
-      preds.push_back({sa, query.sa_lo, query.sa_hi});
-    }
-    std::vector<int64_t> per_value(static_cast<size_t>(num_values), 0);
-    for (int64_t row = 0; row < n; ++row) {
-      bool match = true;
-      for (const FlatPredicate& p : preds) {
-        const int32_t v = p.column[row];
-        if (v < p.lo || v > p.hi) {
-          match = false;
-          break;
-        }
-      }
-      if (match) ++per_value[sa[row]];
-    }
+    std::vector<int64_t> per_value(
+        static_cast<size_t>(table.sa_spec().num_values), 0);
+    ForEachMatchingRow(table.num_rows(),
+                       QueryRanges(table, query, /*with_sa=*/true),
+                       [&per_value, sa](int64_t row) { ++per_value[sa[row]]; });
     groups.push_back(std::move(per_value));
   }
   return groups;

@@ -33,9 +33,10 @@ class SyncCallGuard {
   std::atomic<int>* calls_;
 };
 
-ServedAnswer DeadlineExceededAnswer() {
+// Zero placeholder fields carrying a non-kOk disposition.
+ServedAnswer UnservedAnswer(AnswerStatus status) {
   ServedAnswer answer;
-  answer.status = AnswerStatus::kDeadlineExceeded;
+  answer.status = status;
   return answer;
 }
 
@@ -77,6 +78,16 @@ std::vector<ServedRequest> ExpandGroupBy(const AggregateQuery& query,
   requests.reserve(static_cast<size_t>(hi - lo + 1));
   for (int32_t v = lo; v <= hi; ++v) {
     requests.push_back({query, AggregateKind::kGroupCount, v});
+  }
+  return requests;
+}
+
+std::vector<ServedRequest> CountRequests(
+    const std::vector<AggregateQuery>& queries) {
+  std::vector<ServedRequest> requests;
+  requests.reserve(queries.size());
+  for (const AggregateQuery& query : queries) {
+    requests.push_back({query, AggregateKind::kCount, 0});
   }
   return requests;
 }
@@ -129,17 +140,28 @@ QueryServer::~QueryServer() {
   for (std::thread& t : threads_) t.join();
 }
 
-std::vector<ServedAnswer> QueryServer::AnswerBatch(
-    Span<AggregateQuery> batch, const SubmitOptions& options) {
-  SyncCallGuard guard(&sync_calls_);
-  if (batch.empty()) return {};
+std::shared_ptr<QueryServer::BatchJob> QueryServer::NewJob(
+    std::shared_ptr<const Estimator> estimator,
+    std::vector<ServedRequest> owned, Span<ServedRequest> requests,
+    const SubmitOptions& options) const {
   auto job = std::make_shared<BatchJob>();
-  job->count_queries = batch;
-  job->estimator = estimator_;
-  job->answers.resize(batch.size());
+  job->owned_requests = std::move(owned);
+  job->requests = job->owned_requests.empty()
+                      ? requests
+                      : Span<ServedRequest>(job->owned_requests);
+  job->estimator = std::move(estimator);
+  job->answers.resize(job->size());
   job->start = std::chrono::steady_clock::now();
   job->deadline = options.deadline;
   job->has_deadline = options.has_deadline();
+  return job;
+}
+
+std::vector<ServedAnswer> QueryServer::AnswerBatch(
+    Span<ServedRequest> batch, const SubmitOptions& options) {
+  SyncCallGuard guard(&sync_calls_);
+  if (batch.empty()) return {};
+  const std::shared_ptr<BatchJob> job = NewJob(estimator_, {}, batch, options);
   std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
   if (!threads_.empty()) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -150,67 +172,6 @@ std::vector<ServedAnswer> QueryServer::AnswerBatch(
   // exhausted), then waits out the pool.
   DrainJob(job, 0);
   return done.get();
-}
-
-std::vector<ServedAnswer> QueryServer::AnswerBatch(
-    Span<ServedRequest> batch, const SubmitOptions& options) {
-  SyncCallGuard guard(&sync_calls_);
-  if (batch.empty()) return {};
-  auto job = std::make_shared<BatchJob>();
-  job->requests = batch;
-  job->estimator = estimator_;
-  job->answers.resize(batch.size());
-  job->start = std::chrono::steady_clock::now();
-  job->deadline = options.deadline;
-  job->has_deadline = options.has_deadline();
-  std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
-  if (!threads_.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    EnqueueLocked(job, options.client_id);
-  }
-  work_cv_.notify_all();
-  DrainJob(job, 0);
-  return done.get();
-}
-
-Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatch(
-    std::vector<AggregateQuery> batch, const SubmitOptions& options) {
-  auto job = std::make_shared<BatchJob>();
-  job->owned_queries = std::move(batch);
-  job->count_queries = Span<AggregateQuery>(job->owned_queries);
-  job->estimator = estimator_;
-  std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
-  if (job->owned_queries.empty()) {
-    job->promise.set_value({});
-    return done;
-  }
-  job->start = std::chrono::steady_clock::now();
-  if (options.has_deadline() && job->start >= options.deadline) {
-    // Checked before any admission or work: an already-expired batch
-    // is rejected identically at every worker count.
-    return Status::DeadlineExceeded(
-        "batch deadline passed before submission");
-  }
-  job->answers.resize(job->owned_queries.size());
-  job->deadline = options.deadline;
-  job->has_deadline = options.has_deadline();
-  if (threads_.empty()) {
-    // No pool: answer on the submitting thread, completing the job
-    // (and its future) before returning. Nothing queues, so admission
-    // control does not apply.
-    DrainJob(job, 0);
-    return done;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    Status admitted = AdmitLocked(lock, job->size());
-    if (!admitted.ok()) return admitted;
-    job->counted = true;
-    queued_requests_ += job->size();
-    EnqueueLocked(job, options.client_id);
-  }
-  work_cv_.notify_all();
-  return done;
 }
 
 Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatch(
@@ -224,24 +185,24 @@ Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatchOn(
   if (estimator == nullptr) {
     return Status::InvalidArgument("estimator must not be null");
   }
-  auto job = std::make_shared<BatchJob>();
-  job->owned_requests = std::move(batch);
-  job->requests = Span<ServedRequest>(job->owned_requests);
-  job->estimator = std::move(estimator);
-  std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
-  if (job->owned_requests.empty()) {
-    job->promise.set_value({});
-    return done;
+  if (batch.empty()) {
+    std::promise<std::vector<ServedAnswer>> ready;
+    ready.set_value({});
+    return ready.get_future();
   }
-  job->start = std::chrono::steady_clock::now();
-  if (options.has_deadline() && job->start >= options.deadline) {
+  const std::shared_ptr<BatchJob> job =
+      NewJob(std::move(estimator), std::move(batch), {}, options);
+  if (job->has_deadline && job->start >= job->deadline) {
+    // Checked before any admission or work: an already-expired batch
+    // is rejected identically at every worker count.
     return Status::DeadlineExceeded(
         "batch deadline passed before submission");
   }
-  job->answers.resize(job->owned_requests.size());
-  job->deadline = options.deadline;
-  job->has_deadline = options.has_deadline();
+  std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
   if (threads_.empty()) {
+    // No pool: answer on the submitting thread, completing the job
+    // (and its future) before returning. Nothing queues, so admission
+    // control does not apply.
     DrainJob(job, 0);
     return done;
   }
@@ -357,12 +318,15 @@ bool QueryServer::ClaimNextChunkLocked(Chunk* chunk) {
 }
 
 ServedAnswer QueryServer::AnswerOne(const Estimator& estimator,
-                                    const AggregateQuery& query,
-                                    AggregateKind kind,
-                                    int32_t group_value) const {
+                                    const ServedRequest& request) const {
+  const AggregateQuery& query = request.query;
+  if (!estimator.Validate(query).ok()) {
+    return UnservedAnswer(AnswerStatus::kInvalidQuery);
+  }
+  const int32_t group_value = request.group_value;
   EstimateWithVariance ev;
   bool integer_valued = true;
-  switch (kind) {
+  switch (request.kind) {
     case AggregateKind::kCount:
       ev = estimator.EstimateWithUncertainty(query);
       break;
@@ -431,23 +395,17 @@ void QueryServer::DrainJob(const std::shared_ptr<BatchJob>& job, int worker) {
 
 void QueryServer::AnswerChunk(const Chunk& chunk, int worker) {
   BatchJob& job = *chunk.job;
-  const bool count_mode = !job.count_queries.empty();
   GuardedHistogram& guarded = *histograms_[worker];
   if (chunk.expired) {
     // Shed, not served: zero placeholders with kDeadlineExceeded, no
     // estimator work and no per-query latency samples.
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
-      job.answers[i] = DeadlineExceededAnswer();
+      job.answers[i] = UnservedAnswer(AnswerStatus::kDeadlineExceeded);
     }
   } else {
     for (size_t i = chunk.begin; i < chunk.end; ++i) {
       const auto start = std::chrono::steady_clock::now();
-      job.answers[i] =
-          count_mode
-              ? AnswerOne(*job.estimator, job.count_queries[i],
-                          AggregateKind::kCount, 0)
-              : AnswerOne(*job.estimator, job.requests[i].query,
-                          job.requests[i].kind, job.requests[i].group_value);
+      job.answers[i] = AnswerOne(*job.estimator, job.requests[i]);
       const uint64_t nanos =
           ElapsedNanos(start, std::chrono::steady_clock::now());
       // The per-worker guard is all but uncontended (only observers

@@ -5,20 +5,28 @@
 //
 // A QueryServer owns a shared, immutable Estimator (query/estimator.h)
 // and a pool of persistent worker threads draining per-client queues
-// of batch jobs. Two entry points share that machinery:
+// of batch jobs. Every batch is a sequence of ServedRequests (COUNT is
+// AggregateKind::kCount; CountRequests wraps a bare query workload),
+// and every entry point builds the same kind of job:
 //
 //   - AnswerBatch(): synchronous — the caller enqueues its batch,
 //     participates as one more worker, and blocks until every answer
 //     is in. One in-flight synchronous batch at a time (a concurrent
 //     second call CHECK-fails; see below). Exempt from admission
 //     control (the blocking caller is its own back-pressure).
-//   - SubmitBatch(): asynchronous — the batch is moved into an owned
-//     job and a std::future of the answers is returned, subject to
-//     admission control: when `max_queued_requests` is set, a batch
-//     that would overflow the queue either blocks until there is room
-//     (AdmissionPolicy::kBlock) or is shed with a ResourceExhausted
-//     status (kReject) instead of growing the queue without bound.
-//     Any number of client threads may submit concurrently.
+//   - SubmitBatch() / SubmitBatchOn(): asynchronous — the batch is
+//     moved into an owned job and a std::future of the answers is
+//     returned, subject to admission control: when
+//     `max_queued_requests` is set, a batch that would overflow the
+//     queue either blocks until there is room (AdmissionPolicy::kBlock)
+//     or is shed with a ResourceExhausted status (kReject) instead of
+//     growing the queue without bound. Any number of client threads
+//     may submit concurrently. SubmitBatchOn serves against an
+//     estimator the caller supplies (the EpochServer hook).
+//
+// Every request is checked with Estimator::Validate first; a malformed
+// one is answered AnswerStatus::kInvalidQuery, never read out of
+// bounds, and the rest of its batch is served normally.
 //
 // Scheduling is deficit-round-robin over per-client queues at chunk
 // granularity: each batch is split into fixed-size chunks, and the
@@ -115,6 +123,11 @@ struct ServedRequest {
 std::vector<ServedRequest> ExpandGroupBy(const AggregateQuery& query,
                                          int32_t sa_num_values);
 
+// One kCount request per query, in order — the served form of a
+// COUNT(*) workload.
+std::vector<ServedRequest> CountRequests(
+    const std::vector<AggregateQuery>& queries);
+
 // Per-answer disposition. Anything other than kOk means the estimate
 // and interval fields are zero placeholders, not served values.
 enum class AnswerStatus : int32_t {
@@ -122,6 +135,10 @@ enum class AnswerStatus : int32_t {
   // The batch's deadline passed before this request's chunk was
   // claimed; the request was shed, not computed.
   kDeadlineExceeded = 1,
+  // The request's query failed Estimator::Validate (a predicate
+  // dimension outside the schema, or a duplicate dimension); it was
+  // rejected, not computed.
+  kInvalidQuery = 2,
 };
 
 // One served answer: the point estimate (bit-identical to the matching
@@ -206,24 +223,18 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Answers every query in `batch`, in order. Deterministic: the
+  // Answers every request in `batch`, in order. Deterministic: the
   // result depends only on the batch, the publication, and the
   // deadline cut point (if any). Synchronous and not reentrant —
   // a second thread calling while a batch is in flight CHECK-fails
   // (concurrent clients must use SubmitBatch); the batch Span must
   // stay valid until the call returns, which the blocking guarantees.
-  std::vector<ServedAnswer> AnswerBatch(Span<AggregateQuery> batch,
-                                        const SubmitOptions& options = {});
-
-  // As above for mixed-aggregate batches: one answer per request, in
-  // order. A kCount request answers bit-identically to the same query
-  // through the COUNT(*) overload.
   std::vector<ServedAnswer> AnswerBatch(Span<ServedRequest> batch,
                                         const SubmitOptions& options = {});
 
   // Asynchronous submission: moves the batch into an owned job, queues
   // it on its client's queue, and returns a future that yields the
-  // answers (same values, bit for bit, as the synchronous overloads).
+  // answers (same values, bit for bit, as AnswerBatch).
   // Safe to call from any number of client threads concurrently.
   // Error returns instead of a future:
   //   - DeadlineExceeded: the batch's deadline had already passed at
@@ -236,8 +247,6 @@ class QueryServer {
   // With num_workers == 1 there is no pool, so an admitted batch is
   // answered on the submitting thread and the returned future is
   // already ready.
-  Result<std::future<std::vector<ServedAnswer>>> SubmitBatch(
-      std::vector<AggregateQuery> batch, const SubmitOptions& options = {});
   Result<std::future<std::vector<ServedAnswer>>> SubmitBatch(
       std::vector<ServedRequest> batch, const SubmitOptions& options = {});
 
@@ -282,12 +291,9 @@ class QueryServer {
   // path borrows the caller's span (the caller blocks until the job
   // completes, keeping it valid).
   struct BatchJob {
-    // Exactly one of these is non-empty. Count-only jobs keep the bare
-    // query form so the hot path stays identical to the original
-    // COUNT(*) server.
-    Span<AggregateQuery> count_queries;
+    // The requests served: `owned_requests` for async jobs, the
+    // caller's storage for a synchronous one.
     Span<ServedRequest> requests;
-    std::vector<AggregateQuery> owned_queries;
     std::vector<ServedRequest> owned_requests;
 
     // The estimator this job is served against (the server's own, or
@@ -310,9 +316,7 @@ class QueryServer {
     std::chrono::steady_clock::time_point start;
     std::promise<std::vector<ServedAnswer>> promise;
 
-    size_t size() const {
-      return count_queries.empty() ? requests.size() : count_queries.size();
-    }
+    size_t size() const { return requests.size(); }
   };
 
   // A claimed slice of one job: requests [begin, end), either to be
@@ -334,11 +338,19 @@ class QueryServer {
   QueryServer(std::shared_ptr<const Estimator> estimator,
               const QueryServerOptions& options, double z);
 
-  // One answer; the kind dispatch happens here so every entry point
+  // The one place a job is set up: served against `estimator`, over
+  // `owned` when it is non-empty (async; moved into the job) or else
+  // over the borrowed `requests` (the synchronous caller's storage),
+  // with answers sized, the start stamped, and `options`' deadline.
+  std::shared_ptr<BatchJob> NewJob(std::shared_ptr<const Estimator> estimator,
+                                   std::vector<ServedRequest> owned,
+                                   Span<ServedRequest> requests,
+                                   const SubmitOptions& options) const;
+
+  // One answer: validation, then the kind dispatch — every entry point
   // shares the exact operation sequence.
   ServedAnswer AnswerOne(const Estimator& estimator,
-                         const AggregateQuery& query, AggregateKind kind,
-                         int32_t group_value) const;
+                         const ServedRequest& request) const;
 
   // Admission (pool mode, under mu_): Ok to enqueue, or the shed /
   // shutdown status. Blocks on room_cv_ under kBlock.

@@ -61,16 +61,6 @@ std::shared_ptr<const Estimator> ModKEstimator(
   return std::move(estimator).value();
 }
 
-std::vector<ServedRequest> CountRequests(
-    const std::vector<AggregateQuery>& workload) {
-  std::vector<ServedRequest> requests;
-  requests.reserve(workload.size());
-  for (const AggregateQuery& query : workload) {
-    requests.push_back({query, AggregateKind::kCount, 0});
-  }
-  return requests;
-}
-
 TEST(EpochServer, CreateValidates) {
   const auto table = UniformWideTable(200, /*seed=*/7);
   const auto estimator = ModKEstimator(table, 2);

@@ -1,0 +1,128 @@
+// Test-only reference estimators: the plain scanning formulas every
+// publication shape's Estimator must reproduce *bitwise* — one pass
+// over every equivalence class (or every row), with no index, no
+// prune, and no row-selection kernel. The fig8/fig9 goldens depend on
+// that identity, so tests compare against these with EXPECT_EQ on raw
+// doubles, not EXPECT_NEAR.
+#ifndef BETALIKE_TESTS_ESTIMATOR_ORACLE_H_
+#define BETALIKE_TESTS_ESTIMATOR_ORACLE_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "baseline/anatomy.h"
+#include "data/table.h"
+#include "perturb/perturbation.h"
+#include "query/workload.h"
+
+namespace betalike {
+namespace oracle {
+
+// Fraction of `ec`'s box the query's QI predicates cover under uniform
+// spread, counting integer points; 0 when any predicate misses the
+// box.
+inline double CoveredFraction(const EquivalenceClass& ec,
+                              const AggregateQuery& query) {
+  double fraction = 1.0;
+  for (const QueryPredicate& p : query.predicates) {
+    const int32_t box_lo = ec.qi_min[p.dim];
+    const int32_t box_hi = ec.qi_max[p.dim];
+    const int32_t lo = std::max(box_lo, p.lo);
+    const int32_t hi = std::min(box_hi, p.hi);
+    if (lo > hi) return 0.0;
+    fraction *= static_cast<double>(hi - lo + 1) /
+                static_cast<double>(box_hi - box_lo + 1);
+  }
+  return fraction;
+}
+
+// Uniform-spread COUNT over a generalized table, recounting each
+// class's SA matches by scanning its rows.
+inline double Generalized(const GeneralizedTable& published,
+                          const AggregateQuery& query) {
+  const Table& source = published.source();
+  double total = 0.0;
+  for (const EquivalenceClass& ec : published.ecs()) {
+    const double fraction = CoveredFraction(ec, query);
+    if (fraction == 0.0) continue;
+    double matching = static_cast<double>(ec.size());
+    if (query.has_sa_predicate()) {
+      int64_t count = 0;
+      for (int64_t row : ec.rows) {
+        const int32_t v = source.sa_value(row);
+        if (v >= query.sa_lo && v <= query.sa_hi) ++count;
+      }
+      matching = static_cast<double>(count);
+    }
+    total += fraction * matching;
+  }
+  return total;
+}
+
+// Anatomy COUNT: every row matching the QI predicates contributes its
+// group's SA-range fraction (1 without an SA predicate).
+inline double Anatomized(const AnatomizedTable& view,
+                         const AggregateQuery& query) {
+  const Table& source = view.source();
+  double total = 0.0;
+  for (int64_t row = 0; row < source.num_rows(); ++row) {
+    bool match = true;
+    for (const QueryPredicate& p : query.predicates) {
+      const int32_t v = source.qi_value(row, p.dim);
+      if (v < p.lo || v > p.hi) {
+        match = false;
+        break;
+      }
+    }
+    if (!match) continue;
+    if (!query.has_sa_predicate()) {
+      total += 1.0;
+      continue;
+    }
+    const int32_t g = view.group_of_row(row);
+    total += static_cast<double>(
+                 view.GroupSaCount(g, query.sa_lo, query.sa_hi)) /
+             static_cast<double>(view.group_size(g));
+  }
+  return total;
+}
+
+// Perturbed COUNT: uniform spread over the view's boxes, each class's
+// SA range count reconstructed from the perturbed one —
+// ĉ = (ñ - n (1 - ρ) w / |SA|) / ρ clamped to [0, n].
+inline double Perturbed(const PerturbedPublication& perturbed,
+                        const EcSaIndex& index, const AggregateQuery& query) {
+  const GeneralizedTable& published = perturbed.view;
+  const int32_t num_values = published.source().sa_spec().num_values;
+  double width = 0.0;
+  if (query.has_sa_predicate()) {
+    const int32_t lo = std::max(query.sa_lo, 0);
+    const int32_t hi = std::min(query.sa_hi, num_values - 1);
+    if (lo > hi) return 0.0;
+    width = static_cast<double>(hi - lo + 1);
+  }
+  double total = 0.0;
+  for (size_t e = 0; e < published.num_ecs(); ++e) {
+    const EquivalenceClass& ec = published.ec(e);
+    const double fraction = CoveredFraction(ec, query);
+    if (fraction == 0.0) continue;
+    const double size = static_cast<double>(ec.size());
+    double matching = size;
+    if (query.has_sa_predicate()) {
+      const double noisy =
+          static_cast<double>(index.Count(e, query.sa_lo, query.sa_hi));
+      const double expected_noise = size * (1.0 - perturbed.retention) *
+                                    width / static_cast<double>(num_values);
+      matching = std::clamp((noisy - expected_noise) / perturbed.retention,
+                            0.0, size);
+    }
+    total += fraction * matching;
+  }
+  return total;
+}
+
+}  // namespace oracle
+}  // namespace betalike
+
+#endif  // BETALIKE_TESTS_ESTIMATOR_ORACLE_H_

@@ -12,7 +12,9 @@
 #include "core/anonymizer.h"
 #include "perturb/perturbation.h"
 #include "query/estimator.h"
+#include "query/published_view.h"
 #include "tests/betalike_test.h"
+#include "tests/estimator_oracle.h"
 
 namespace betalike {
 namespace {
@@ -136,12 +138,15 @@ TEST(Perturb, ReconstructionRecoversTrueCounts) {
   auto perturbed = PerturbSaWithinEcs(*published, options);
   ASSERT_OK(perturbed);
   const EcSaIndex index(perturbed->view);
+  auto estimator = MakeEstimator(PublishedView::Perturbed(*perturbed));
+  ASSERT_OK(estimator);
 
   for (int32_t v = 0; v < 4; ++v) {
     AggregateQuery query;
     query.sa_lo = v;
     query.sa_hi = v;
-    const double estimate = EstimateFromPerturbed(*perturbed, index, query);
+    const double estimate = (*estimator)->Estimate(query);
+    EXPECT_EQ(estimate, oracle::Perturbed(*perturbed, index, query));
     // Binomial noise at this size stays well under 5% of n.
     EXPECT_NEAR(estimate, static_cast<double>(truth[v]), 0.05 * n);
   }
@@ -149,7 +154,8 @@ TEST(Perturb, ReconstructionRecoversTrueCounts) {
   AggregateQuery miss;
   miss.sa_lo = 10;
   miss.sa_hi = 20;
-  EXPECT_NEAR(EstimateFromPerturbed(*perturbed, index, miss), 0.0, 1e-12);
+  EXPECT_NEAR((*estimator)->Estimate(miss), 0.0, 1e-12);
+  EXPECT_EQ(oracle::Perturbed(*perturbed, index, miss), 0.0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "query/workload.h"
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
+#include "tests/estimator_oracle.h"
 
 namespace betalike {
 namespace {
@@ -62,6 +63,12 @@ bool SameWorkload(const std::vector<AggregateQuery>& a,
     }
   }
   return true;
+}
+
+std::unique_ptr<Estimator> MakeEstimatorOrDie(const PublishedView& view) {
+  auto estimator = MakeEstimator(view);
+  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
+  return std::move(estimator).value();
 }
 
 TEST(Workload, ValidatesOptions) {
@@ -161,22 +168,32 @@ TEST(Workload, HitsRequestedSelectivityBand) {
   EXPECT_LT(mean, 0.12);
 }
 
+// Table sizes straddling the row-selection kernel's 2048-row block:
+// a single row, one short of a block, exactly one, one past, and a
+// multi-block table with a partial tail.
+constexpr int64_t kBlockEdgeSizes[] = {1, 2047, 2048, 2049, 5000};
+
 TEST(Workload, PreciseCountsMatchRowWiseMatches) {
-  const auto table = SmallCensus(1000);
-  WorkloadOptions options;
-  options.num_queries = 50;
-  options.lambda = 2;
-  options.seed = 3;
-  auto workload = GenerateWorkload(table->schema(), options);
-  ASSERT_OK(workload);
-  const std::vector<int64_t> counts = PreciseCounts(*table, *workload);
-  ASSERT_EQ(counts.size(), workload->size());
-  for (size_t i = 0; i < workload->size(); ++i) {
-    int64_t expected = 0;
-    for (int64_t row = 0; row < table->num_rows(); ++row) {
-      if ((*workload)[i].Matches(*table, row)) ++expected;
+  for (int64_t rows : kBlockEdgeSizes) {
+    const auto table = SmallCensus(rows);
+    WorkloadOptions options;
+    options.num_queries = 50;
+    options.lambda = 2;
+    options.seed = 3;
+    auto workload = GenerateWorkload(table->schema(), options);
+    ASSERT_OK(workload);
+    // Plus a predicate-free query, which selects every row.
+    workload->push_back(AggregateQuery());
+    const std::vector<int64_t> counts = PreciseCounts(*table, *workload);
+    ASSERT_EQ(counts.size(), workload->size());
+    for (size_t i = 0; i < workload->size(); ++i) {
+      int64_t expected = 0;
+      for (int64_t row = 0; row < table->num_rows(); ++row) {
+        if ((*workload)[i].Matches(*table, row)) ++expected;
+      }
+      EXPECT_EQ(counts[i], expected);
     }
-    EXPECT_EQ(counts[i], expected);
+    EXPECT_EQ(counts.back(), rows);
   }
 }
 
@@ -200,7 +217,7 @@ TEST(Estimator, ExactOnUngeneralizedTable) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
   for (size_t i = 0; i < workload->size(); ++i) {
-    EXPECT_NEAR(EstimateFromGeneralized(*published, (*workload)[i]),
+    EXPECT_NEAR(oracle::Generalized(*published, (*workload)[i]),
                 static_cast<double>(truth[i]), 1e-9);
   }
 }
@@ -223,14 +240,19 @@ TEST(Estimator, UniformSpreadFractionOfOneEc) {
   auto published = GeneralizedTable::Create(
       table, {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}});
   ASSERT_OK(published);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(*published));
 
   AggregateQuery query;
   query.predicates.push_back({0, 0, 4});
-  EXPECT_NEAR(EstimateFromGeneralized(*published, query), 5.0, 1e-12);
+  EXPECT_NEAR(estimator->Estimate(query), 5.0, 1e-12);
+  EXPECT_EQ(oracle::Generalized(*published, query), 5.0);
   query.predicates[0] = {0, 8, 20};  // clipped overlap: 2 of 10 points
-  EXPECT_NEAR(EstimateFromGeneralized(*published, query), 2.0, 1e-12);
+  EXPECT_NEAR(estimator->Estimate(query), 2.0, 1e-12);
+  EXPECT_EQ(oracle::Generalized(*published, query), 2.0);
   query.predicates[0] = {0, 15, 20};  // disjoint
-  EXPECT_NEAR(EstimateFromGeneralized(*published, query), 0.0, 1e-12);
+  EXPECT_NEAR(estimator->Estimate(query), 0.0, 1e-12);
+  EXPECT_EQ(oracle::Generalized(*published, query), 0.0);
 }
 
 TEST(Estimator, MedianAndMeanCrossCheckedAgainstBruteForce) {
@@ -253,7 +275,7 @@ TEST(Estimator, MedianAndMeanCrossCheckedAgainstBruteForce) {
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
 
   const auto estimate = [&](const AggregateQuery& query) {
-    return EstimateFromGeneralized(*published, query);
+    return oracle::Generalized(*published, query);
   };
   const WorkloadError error =
       EvaluateWorkloadWithTruth(truth, *workload, estimate);
@@ -338,7 +360,8 @@ TEST(Estimator, IndexedSaPathMatchesScanningPath) {
   }
   auto published = GeneralizedTable::Create(table, std::move(ec_rows));
   ASSERT_OK(published);
-  const EcSaIndex index(*published);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(*published));
 
   WorkloadOptions options;
   options.num_queries = 120;
@@ -348,8 +371,8 @@ TEST(Estimator, IndexedSaPathMatchesScanningPath) {
   auto workload = GenerateWorkload(table->schema(), options);
   ASSERT_OK(workload);
   for (const AggregateQuery& query : *workload) {
-    EXPECT_NEAR(EstimateFromGeneralized(*published, index, query),
-                EstimateFromGeneralized(*published, query), 1e-9);
+    EXPECT_EQ(estimator->Estimate(query),
+              oracle::Generalized(*published, query));
   }
 }
 
@@ -361,7 +384,8 @@ TEST(Estimator, ExactOnUngeneralizedTableWithSaPredicate) {
   }
   auto published = GeneralizedTable::Create(table, std::move(ec_rows));
   ASSERT_OK(published);
-  const EcSaIndex index(*published);
+  const auto estimator =
+      MakeEstimatorOrDie(PublishedView::Generalized(*published));
 
   WorkloadOptions options;
   options.num_queries = 80;
@@ -372,7 +396,7 @@ TEST(Estimator, ExactOnUngeneralizedTableWithSaPredicate) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
   for (size_t i = 0; i < workload->size(); ++i) {
-    EXPECT_NEAR(EstimateFromGeneralized(*published, index, (*workload)[i]),
+    EXPECT_NEAR(estimator->Estimate((*workload)[i]),
                 static_cast<double>(truth[i]), 1e-9);
   }
 }
@@ -387,7 +411,8 @@ TEST(Estimator, AnatomizedExactWithoutSaPredicate) {
   }
   auto published = GeneralizedTable::Create(table, std::move(ec_rows));
   ASSERT_OK(published);
-  const AnatomizedTable view = AnatomizedTable::FromGrouping(*published);
+  const auto estimator = MakeEstimatorOrDie(
+      PublishedView::Anatomized(AnatomizedTable::FromGrouping(*published)));
 
   WorkloadOptions options;
   options.num_queries = 60;
@@ -397,7 +422,7 @@ TEST(Estimator, AnatomizedExactWithoutSaPredicate) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
   for (size_t i = 0; i < workload->size(); ++i) {
-    EXPECT_NEAR(EstimateFromAnatomized(view, (*workload)[i]),
+    EXPECT_NEAR(estimator->Estimate((*workload)[i]),
                 static_cast<double>(truth[i]), 1e-9);
   }
 }
@@ -423,7 +448,9 @@ TEST(Estimator, AnatomizedMatchesHandComputedGroupFractions) {
   query.predicates.push_back({0, 1, 5});
   query.sa_lo = 1;
   query.sa_hi = 2;
-  EXPECT_NEAR(EstimateFromAnatomized(view, query), 3.0, 1e-12);
+  EXPECT_NEAR(oracle::Anatomized(view, query), 3.0, 1e-12);
+  const auto estimator = MakeEstimatorOrDie(PublishedView::Anatomized(view));
+  EXPECT_EQ(estimator->Estimate(query), oracle::Anatomized(view, query));
 }
 
 TEST(Estimator, EvenWorkloadMedianAveragesTheMiddlePair) {
@@ -472,19 +499,12 @@ std::vector<AggregateQuery> MixedWorkload(const TableSchema& schema,
   return std::move(workload).value();
 }
 
-std::unique_ptr<Estimator> MakeEstimatorOrDie(const PublishedView& view) {
-  auto estimator = MakeEstimator(view);
-  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
-  return std::move(estimator).value();
-}
-
-// The unified interface must answer *bit-identically* to the legacy
-// free functions (the fig8/fig9 goldens depend on it), hence EXPECT_EQ
-// on raw doubles, not EXPECT_NEAR.
-TEST(EstimatorInterface, GeneralizedMatchesFreeFunctionExactly) {
+// Every shape must answer *bit-identically* to its plain scanning
+// formula (tests/estimator_oracle.h; the fig8/fig9 goldens depend on
+// it), hence EXPECT_EQ on raw doubles, not EXPECT_NEAR.
+TEST(EstimatorInterface, GeneralizedMatchesScanningOracleExactly) {
   const auto table = SmallCensus(1500);
   const GeneralizedTable published = ModKPublication(table, 7);
-  const EcSaIndex index(published);
   const auto estimator =
       MakeEstimatorOrDie(PublishedView::Generalized(published));
   EXPECT_EQ(estimator->Name(), std::string("generalized"));
@@ -493,7 +513,7 @@ TEST(EstimatorInterface, GeneralizedMatchesFreeFunctionExactly) {
     const auto workload =
         MixedWorkload(table->schema(), include_sa, include_sa ? 71 : 73);
     for (const AggregateQuery& query : workload) {
-      const double expected = EstimateFromGeneralized(published, index, query);
+      const double expected = oracle::Generalized(published, query);
       EXPECT_EQ(estimator->Estimate(query), expected);
       const EstimateWithVariance ev =
           estimator->EstimateWithUncertainty(query);
@@ -503,26 +523,30 @@ TEST(EstimatorInterface, GeneralizedMatchesFreeFunctionExactly) {
   }
 }
 
-TEST(EstimatorInterface, AnatomizedMatchesFreeFunctionExactly) {
-  const auto table = SmallCensus(1200);
-  const AnatomizedTable view =
-      AnatomizedTable::FromGrouping(ModKPublication(table, 6));
-  const auto estimator =
-      MakeEstimatorOrDie(PublishedView::Anatomized(view));
-  EXPECT_EQ(estimator->Name(), std::string("anatomized"));
+TEST(EstimatorInterface, AnatomizedMatchesScanningOracleExactly) {
+  // 5000 rows span several row-selection blocks plus a partial tail.
+  for (int64_t rows : {1200, 5000}) {
+    const auto table = SmallCensus(rows);
+    const AnatomizedTable view =
+        AnatomizedTable::FromGrouping(ModKPublication(table, 6));
+    const auto estimator =
+        MakeEstimatorOrDie(PublishedView::Anatomized(view));
+    EXPECT_EQ(estimator->Name(), std::string("anatomized"));
 
-  for (bool include_sa : {false, true}) {
-    const auto workload =
-        MixedWorkload(table->schema(), include_sa, include_sa ? 79 : 83);
-    for (const AggregateQuery& query : workload) {
-      const double expected = EstimateFromAnatomized(view, query);
-      EXPECT_EQ(estimator->Estimate(query), expected);
-      EXPECT_EQ(estimator->EstimateWithUncertainty(query).estimate, expected);
+    for (bool include_sa : {false, true}) {
+      const auto workload =
+          MixedWorkload(table->schema(), include_sa, include_sa ? 79 : 83);
+      for (const AggregateQuery& query : workload) {
+        const double expected = oracle::Anatomized(view, query);
+        EXPECT_EQ(estimator->Estimate(query), expected);
+        EXPECT_EQ(estimator->EstimateWithUncertainty(query).estimate,
+                  expected);
+      }
     }
   }
 }
 
-TEST(EstimatorInterface, PerturbedMatchesFreeFunctionExactly) {
+TEST(EstimatorInterface, PerturbedMatchesScanningOracleExactly) {
   const auto table = SmallCensus(1200);
   const GeneralizedTable published = ModKPublication(table, 5);
   PerturbOptions options;
@@ -539,7 +563,7 @@ TEST(EstimatorInterface, PerturbedMatchesFreeFunctionExactly) {
     const auto workload =
         MixedWorkload(table->schema(), include_sa, include_sa ? 89 : 91);
     for (const AggregateQuery& query : workload) {
-      const double expected = EstimateFromPerturbed(*perturbed, index, query);
+      const double expected = oracle::Perturbed(*perturbed, index, query);
       EXPECT_EQ(estimator->Estimate(query), expected);
       EXPECT_EQ(estimator->EstimateWithUncertainty(query).estimate, expected);
     }
@@ -573,7 +597,7 @@ TEST(QueryServer, AnswerBatchDeterministicAcrossWorkerCounts) {
       options.chunk_size = 16;  // several chunks per worker
       auto server = QueryServer::Create(estimator, options);
       ASSERT_OK(server);
-      results.push_back((*server)->AnswerBatch(workload));
+      results.push_back((*server)->AnswerBatch(CountRequests(workload)));
     }
     for (size_t i = 1; i < results.size(); ++i) {
       ASSERT_EQ(results[i].size(), results[0].size());
@@ -630,46 +654,48 @@ TEST(Workload, ValidateQueryRejectsDuplicateAndOutOfRangeDims) {
 }
 
 TEST(Workload, PreciseSumsAndGroupCountsMatchRowWiseMatches) {
-  const auto table = SmallCensus(800);
-  for (bool include_sa : {false, true}) {
-    WorkloadOptions options;
-    options.num_queries = 40;
-    options.lambda = 2;
-    options.include_sa = include_sa;
-    options.seed = include_sa ? 107 : 109;
-    auto workload = GenerateWorkload(table->schema(), options);
-    ASSERT_OK(workload);
+  for (int64_t rows : kBlockEdgeSizes) {
+    const auto table = SmallCensus(rows);
+    for (bool include_sa : {false, true}) {
+      WorkloadOptions options;
+      options.num_queries = 40;
+      options.lambda = 2;
+      options.include_sa = include_sa;
+      options.seed = include_sa ? 107 : 109;
+      auto workload = GenerateWorkload(table->schema(), options);
+      ASSERT_OK(workload);
 
-    const std::vector<int64_t> sums = PreciseSums(*table, *workload);
-    const std::vector<std::vector<int64_t>> groups =
-        PreciseGroupCounts(*table, *workload);
-    const std::vector<int64_t> counts = PreciseCounts(*table, *workload);
-    ASSERT_EQ(sums.size(), workload->size());
-    ASSERT_EQ(groups.size(), workload->size());
+      const std::vector<int64_t> sums = PreciseSums(*table, *workload);
+      const std::vector<std::vector<int64_t>> groups =
+          PreciseGroupCounts(*table, *workload);
+      const std::vector<int64_t> counts = PreciseCounts(*table, *workload);
+      ASSERT_EQ(sums.size(), workload->size());
+      ASSERT_EQ(groups.size(), workload->size());
 
-    const int32_t num_values = table->sa_spec().num_values;
-    for (size_t i = 0; i < workload->size(); ++i) {
-      const AggregateQuery& query = (*workload)[i];
-      int64_t expected_sum = 0;
-      std::vector<int64_t> expected_group(num_values, 0);
-      for (int64_t row = 0; row < table->num_rows(); ++row) {
-        if (!query.Matches(*table, row)) continue;
-        expected_sum += table->sa_value(row);
-        ++expected_group[table->sa_value(row)];
-      }
-      EXPECT_EQ(sums[i], expected_sum);
-      ASSERT_EQ(groups[i].size(), static_cast<size_t>(num_values));
-      int64_t group_total = 0;
-      for (int32_t v = 0; v < num_values; ++v) {
-        EXPECT_EQ(groups[i][v], expected_group[v]);
-        group_total += groups[i][v];
-        if (query.has_sa_predicate() &&
-            (v < query.sa_lo || v > query.sa_hi)) {
-          EXPECT_EQ(groups[i][v], 0);
+      const int32_t num_values = table->sa_spec().num_values;
+      for (size_t i = 0; i < workload->size(); ++i) {
+        const AggregateQuery& query = (*workload)[i];
+        int64_t expected_sum = 0;
+        std::vector<int64_t> expected_group(num_values, 0);
+        for (int64_t row = 0; row < table->num_rows(); ++row) {
+          if (!query.Matches(*table, row)) continue;
+          expected_sum += table->sa_value(row);
+          ++expected_group[table->sa_value(row)];
         }
+        EXPECT_EQ(sums[i], expected_sum);
+        ASSERT_EQ(groups[i].size(), static_cast<size_t>(num_values));
+        int64_t group_total = 0;
+        for (int32_t v = 0; v < num_values; ++v) {
+          EXPECT_EQ(groups[i][v], expected_group[v]);
+          group_total += groups[i][v];
+          if (query.has_sa_predicate() &&
+              (v < query.sa_lo || v > query.sa_hi)) {
+            EXPECT_EQ(groups[i][v], 0);
+          }
+        }
+        // The group slots partition the query's count.
+        EXPECT_EQ(group_total, counts[i]);
       }
-      // The group slots partition the query's count.
-      EXPECT_EQ(group_total, counts[i]);
     }
   }
 }

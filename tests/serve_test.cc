@@ -14,7 +14,9 @@
 // chunk-aligned suffix expiry), the out-of-domain GROUP-BY zero-slot
 // convention on all three publication shapes, histogram observers
 // polled while the pool records (the TSan race this PR fixes), and
-// destruction racing live clients.
+// destruction racing live clients, and malformed requests (bad or
+// duplicate predicate dimensions) answered kInvalidQuery on every
+// shape without disturbing the rest of their batch.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -39,6 +41,7 @@
 #include "query/estimator.h"
 #include "query/published_view.h"
 #include "query/workload.h"
+#include "serve/epoch_server.h"
 #include "serve/latency_histogram.h"
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
@@ -265,7 +268,8 @@ TEST(QueryServer, ExactPublicationYieldsContinuityWidthOnly) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
 
-  const std::vector<ServedAnswer> answers = (*server)->AnswerBatch(*workload);
+  const std::vector<ServedAnswer> answers =
+      (*server)->AnswerBatch(CountRequests(*workload));
   ASSERT_EQ(answers.size(), workload->size());
   for (size_t i = 0; i < answers.size(); ++i) {
     const double actual = static_cast<double>(truth[i]);
@@ -302,7 +306,8 @@ TEST(QueryServer, CoverageNearNominalWhereModelHolds) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
 
-  const std::vector<ServedAnswer> answers = (*server)->AnswerBatch(*workload);
+  const std::vector<ServedAnswer> answers =
+      (*server)->AnswerBatch(CountRequests(*workload));
   int covered = 0;
   for (size_t i = 0; i < answers.size(); ++i) {
     const double actual = static_cast<double>(truth[i]);
@@ -466,6 +471,90 @@ TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
   }
 }
 
+TEST(QueryServer, MalformedRequestsAnsweredInvalidOnEveryShape) {
+  // A predicate on a dimension outside the schema used to be read out
+  // of bounds on every shape: the box index's grid cell (generalized,
+  // perturbed) and the QI column (Anatomy). The serving boundary now
+  // validates each request: a malformed one comes back kInvalidQuery
+  // with zero fields, and every other answer of its batch is bitwise
+  // the answer it gets in a clean batch — on the synchronous path and
+  // through EpochServer alike.
+  const auto table = UniformWideTable(3000, /*seed=*/81);
+  const GeneralizedTable published = ModKPublication(table, 6);
+  PerturbOptions perturb_options;
+  perturb_options.retention = 0.8;
+  perturb_options.seed = 83;
+  auto perturbed = PerturbSaWithinEcs(published, perturb_options);
+  ASSERT_OK(perturbed);
+  std::vector<std::shared_ptr<const Estimator>> estimators;
+  estimators.push_back(
+      MakeEstimatorOrDie(PublishedView::Generalized(published)));
+  estimators.push_back(MakeEstimatorOrDie(
+      PublishedView::Anatomized(AnatomizedTable::FromGrouping(published))));
+  estimators.push_back(
+      MakeEstimatorOrDie(PublishedView::Perturbed(*perturbed)));
+
+  WorkloadOptions options;
+  options.num_queries = 12;
+  options.lambda = 2;
+  options.include_sa = true;
+  options.seed = 89;
+  auto workload = GenerateWorkload(table->schema(), options);
+  ASSERT_OK(workload);
+  const std::vector<ServedRequest> clean =
+      MixedRequests(*workload, table->sa_spec().num_values);
+
+  std::vector<AggregateQuery> malformed(3, (*workload)[0]);
+  malformed[0].predicates.push_back({-1, 0, 500});
+  malformed[1].predicates.push_back({table->num_qi(), 0, 500});
+  malformed[2].predicates.push_back(malformed[2].predicates[0]);
+  const AggregateKind kinds[] = {AggregateKind::kCount, AggregateKind::kSum,
+                                 AggregateKind::kAvg,
+                                 AggregateKind::kGroupCount};
+  // Every fifth request of the mixed batch is malformed; `source[j]` is
+  // the clean index of request j, or -1 for a malformed one.
+  std::vector<ServedRequest> mixed;
+  std::vector<int64_t> source;
+  for (size_t i = 0; i < clean.size(); ++i) {
+    if (i % 4 == 0) {
+      const size_t b = mixed.size();
+      mixed.push_back({malformed[b % 3], kinds[b % 4], 1});
+      source.push_back(-1);
+    }
+    mixed.push_back(clean[i]);
+    source.push_back(static_cast<int64_t>(i));
+  }
+
+  ServedAnswer invalid;
+  invalid.status = AnswerStatus::kInvalidQuery;
+  QueryServerOptions pool;
+  pool.num_workers = 2;
+  pool.chunk_size = 8;
+  for (const auto& estimator : estimators) {
+    auto reference_server =
+        QueryServer::Create(estimator, QueryServerOptions());
+    ASSERT_OK(reference_server);
+    const std::vector<ServedAnswer> reference =
+        (*reference_server)->AnswerBatch(clean);
+
+    auto server = QueryServer::Create(estimator, pool);
+    ASSERT_OK(server);
+    auto epochs = EpochServer::Create(1, estimator, pool);
+    ASSERT_OK(epochs);
+    auto submitted = (*epochs)->SubmitBatch(mixed);
+    ASSERT_OK(submitted);
+    for (const std::vector<ServedAnswer>& got :
+         {(*server)->AnswerBatch(mixed), submitted->get()}) {
+      ASSERT_EQ(got.size(), mixed.size());
+      for (size_t j = 0; j < got.size(); ++j) {
+        const ServedAnswer& want =
+            source[j] < 0 ? invalid : reference[source[j]];
+        EXPECT_TRUE(std::memcmp(&got[j], &want, sizeof(ServedAnswer)) == 0);
+      }
+    }
+  }
+}
+
 TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
   const auto table = UniformWideTable(4000, /*seed=*/43);
   const auto estimator = MakeEstimatorOrDie(
@@ -487,7 +576,7 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
   {
     auto server = QueryServer::Create(estimator, QueryServerOptions());
     ASSERT_OK(server);
-    count_reference = (*server)->AnswerBatch(*workload);
+    count_reference = (*server)->AnswerBatch(CountRequests(*workload));
     mixed_reference = (*server)->AnswerBatch(Span<ServedRequest>(requests));
   }
 
@@ -523,9 +612,9 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
     // and distinct clients.
     SubmitOptions other_client;
     other_client.client_id = 7;
-    auto count_future = (*server)->SubmitBatch(*workload);
+    auto count_future = (*server)->SubmitBatch(CountRequests(*workload));
     auto mixed_future = (*server)->SubmitBatch(requests, other_client);
-    auto count_again = (*server)->SubmitBatch(*workload);
+    auto count_again = (*server)->SubmitBatch(CountRequests(*workload));
     ASSERT_OK(count_future);
     ASSERT_OK(mixed_future);
     ASSERT_OK(count_again);
@@ -533,8 +622,9 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
     expect_same(mixed_future->get(), mixed_reference);
     expect_same(count_again->get(), count_reference);
 
-    // The synchronous overloads agree too.
-    expect_same((*server)->AnswerBatch(*workload), count_reference);
+    // The synchronous path agrees too.
+    expect_same((*server)->AnswerBatch(CountRequests(*workload)),
+                count_reference);
     expect_same((*server)->AnswerBatch(Span<ServedRequest>(requests)),
                 mixed_reference);
 
@@ -555,14 +645,14 @@ TEST(QueryServer, EmptySubmitBatchYieldsReadyEmptyFuture) {
   options.num_workers = 2;
   auto server = QueryServer::Create(estimator, options);
   ASSERT_OK(server);
-  auto future = (*server)->SubmitBatch(std::vector<AggregateQuery>());
+  auto future = (*server)->SubmitBatch(std::vector<ServedRequest>());
   ASSERT_OK(future);
   ASSERT_TRUE(future->wait_for(std::chrono::seconds(0)) ==
               std::future_status::ready);
   EXPECT_TRUE(future->get().empty());
   EXPECT_EQ((*server)->BatchHistogram().count(), 0u);
   // Empty synchronous batches answer immediately as well.
-  EXPECT_TRUE((*server)->AnswerBatch(Span<AggregateQuery>()).empty());
+  EXPECT_TRUE((*server)->AnswerBatch(Span<ServedRequest>()).empty());
 }
 
 TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
@@ -577,7 +667,7 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
 
   constexpr int kClients = 6;
   constexpr int kBatchesPerClient = 4;
-  std::vector<std::vector<AggregateQuery>> workloads;
+  std::vector<std::vector<ServedRequest>> workloads;
   std::vector<std::vector<ServedAnswer>> references;
   for (int c = 0; c < kClients; ++c) {
     WorkloadOptions options;
@@ -587,7 +677,7 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
     options.seed = 200 + static_cast<uint64_t>(c);
     auto workload = GenerateWorkload(table->schema(), options);
     BETALIKE_CHECK(workload.ok());
-    workloads.push_back(std::move(*workload));
+    workloads.push_back(CountRequests(*workload));
   }
   {
     // Single-worker reference server for the expected answers.
@@ -639,9 +729,6 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
 class BlockingEstimator final : public Estimator {
  public:
   std::string Name() const override { return "blocking"; }
-  double Estimate(const AggregateQuery& query) const override {
-    return EstimateWithUncertainty(query).estimate;
-  }
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery&) const override {
     entered.store(true);
@@ -683,16 +770,16 @@ TEST(QueryServer, ConcurrentSynchronousAnswerBatchDies) {
     auto estimator = std::make_shared<BlockingEstimator>();
     auto server = QueryServer::Create(estimator, QueryServerOptions());
     if (!server.ok()) std::_Exit(2);
-    std::vector<AggregateQuery> batch(1);
+    std::vector<ServedRequest> batch(1);
     std::thread first([&] {
-      (*server)->AnswerBatch(Span<AggregateQuery>(batch));
+      (*server)->AnswerBatch(Span<ServedRequest>(batch));
     });
     while (!estimator->entered.load()) {
       std::this_thread::yield();
     }
     // The first batch is pinned inside the estimator; this call must
     // CHECK-fail, which aborts before it could ever race.
-    (*server)->AnswerBatch(Span<AggregateQuery>(batch));
+    (*server)->AnswerBatch(Span<ServedRequest>(batch));
     std::_Exit(3);  // not reached if the guard works
   }
   int status = 0;
@@ -720,12 +807,12 @@ TEST(QueryServer, SubmitBatchLegalWhileSynchronousBatchInFlight) {
 
   std::future<std::vector<ServedAnswer>> async_future;
   std::thread submitter([&] {
-    auto submitted = (*server)->SubmitBatch(*workload);
+    auto submitted = (*server)->SubmitBatch(CountRequests(*workload));
     BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
     async_future = std::move(*submitted);
   });
   const std::vector<ServedAnswer> sync_answers =
-      (*server)->AnswerBatch(*workload);
+      (*server)->AnswerBatch(CountRequests(*workload));
   submitter.join();
   const std::vector<ServedAnswer> async_answers = async_future.get();
   ASSERT_EQ(async_answers.size(), sync_answers.size());
@@ -753,7 +840,7 @@ TEST(QueryServer, DestructorDrainsQueuedJobs) {
     auto server = QueryServer::Create(estimator, options);
     ASSERT_OK(server);
     for (int b = 0; b < 8; ++b) {
-      auto submitted = (*server)->SubmitBatch(*workload);
+      auto submitted = (*server)->SubmitBatch(CountRequests(*workload));
       ASSERT_OK(submitted);
       futures.push_back(std::move(*submitted));
     }
@@ -882,7 +969,8 @@ TEST(QueryServer, HistogramObserversSafeUnderConcurrentServing) {
       SubmitOptions submit;
       submit.client_id = static_cast<uint64_t>(c + 1);
       for (int b = 0; b < kBatchesPerClient; ++b) {
-        auto future = (*server)->SubmitBatch(*workload, submit);
+        auto future =
+            (*server)->SubmitBatch(CountRequests(*workload), submit);
         BETALIKE_CHECK(future.ok()) << future.status().ToString();
         future->wait();
       }
@@ -894,7 +982,7 @@ TEST(QueryServer, HistogramObserversSafeUnderConcurrentServing) {
   // Quiesced: a reset-then-serve round counts exactly once per query.
   (*server)->ResetHistograms();
   EXPECT_EQ((*server)->MergedHistogram().count(), 0u);
-  (*server)->AnswerBatch(*workload);
+  (*server)->AnswerBatch(CountRequests(*workload));
   EXPECT_EQ((*server)->MergedHistogram().count(), workload->size());
 }
 
@@ -917,7 +1005,7 @@ TEST(QueryServer, DestructorRacingLiveClientsStillDrains) {
     auto reference_server =
         QueryServer::Create(estimator, QueryServerOptions());
     ASSERT_OK(reference_server);
-    reference = (*reference_server)->AnswerBatch(*workload);
+    reference = (*reference_server)->AnswerBatch(CountRequests(*workload));
   }
 
   constexpr int kClients = 4;
@@ -936,7 +1024,8 @@ TEST(QueryServer, DestructorRacingLiveClientsStillDrains) {
       SubmitOptions submit;
       submit.client_id = static_cast<uint64_t>(c);
       for (int b = 0; b < kBatchesPerClient; ++b) {
-        auto submitted = server->SubmitBatch(*workload, submit);
+        auto submitted =
+            server->SubmitBatch(CountRequests(*workload), submit);
         BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
         std::lock_guard<std::mutex> lock(futures_mu);
         futures.push_back(std::move(*submitted));
@@ -966,8 +1055,8 @@ TEST(QueryServer, RejectPolicyShedsOverflowWithoutQueueGrowth) {
   auto server = QueryServer::Create(estimator, options);
   ASSERT_OK(server);
 
-  std::vector<AggregateQuery> four(4);
-  std::vector<AggregateQuery> one(1);
+  std::vector<ServedRequest> four(4);
+  std::vector<ServedRequest> one(1);
   auto admitted = (*server)->SubmitBatch(four);
   ASSERT_OK(admitted);
   // Pin the pool inside the estimator so the queue is demonstrably
@@ -989,7 +1078,7 @@ TEST(QueryServer, RejectPolicyShedsOverflowWithoutQueueGrowth) {
 
   // A batch larger than the cap is always shed under kReject, even
   // with an empty queue; with room, admission resumes.
-  std::vector<AggregateQuery> six(6);
+  std::vector<ServedRequest> six(6);
   auto oversized = (*server)->SubmitBatch(six);
   ASSERT_FALSE(oversized.ok());
   EXPECT_TRUE(oversized.status().code() == StatusCode::kResourceExhausted);
@@ -1008,7 +1097,7 @@ TEST(QueryServer, BlockPolicyWaitsForRoomAndAdmitsOversizedAlone) {
   auto server = QueryServer::Create(estimator, options);
   ASSERT_OK(server);
 
-  std::vector<AggregateQuery> four(4);
+  std::vector<ServedRequest> four(4);
   auto first = (*server)->SubmitBatch(four);
   ASSERT_OK(first);
   while (!estimator->entered.load()) std::this_thread::yield();
@@ -1034,7 +1123,7 @@ TEST(QueryServer, BlockPolicyWaitsForRoomAndAdmitsOversizedAlone) {
 
   // Oversized batch under kBlock: admitted alone once the queue is
   // empty instead of deadlocking.
-  std::vector<AggregateQuery> six(6);
+  std::vector<ServedRequest> six(6);
   auto oversized = (*server)->SubmitBatch(six);
   ASSERT_OK(oversized);
   EXPECT_EQ(oversized->get().size(), 6u);
@@ -1058,8 +1147,9 @@ TEST(QueryServer, SynchronousPathExemptFromAdmission) {
   ASSERT_OK(workload);
   // 20 requests against a cap of 1: the async path always sheds, the
   // synchronous path (its caller is its own back-pressure) serves.
-  EXPECT_EQ((*server)->AnswerBatch(*workload).size(), workload->size());
-  auto rejected = (*server)->SubmitBatch(*workload);
+  EXPECT_EQ((*server)->AnswerBatch(CountRequests(*workload)).size(),
+            workload->size());
+  auto rejected = (*server)->SubmitBatch(CountRequests(*workload));
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().code() == StatusCode::kResourceExhausted);
 }
@@ -1084,13 +1174,13 @@ TEST(QueryServer, ExpiredAtSubmissionRejectedIdenticallyAcrossWorkerCounts) {
     ASSERT_OK(server);
     // The deadline is checked before any admission or work, so the
     // rejection is identical whether or not a pool exists.
-    auto submitted = (*server)->SubmitBatch(*workload, expired);
+    auto submitted = (*server)->SubmitBatch(CountRequests(*workload), expired);
     ASSERT_FALSE(submitted.ok());
     EXPECT_TRUE(submitted.status().code() == StatusCode::kDeadlineExceeded);
     // The synchronous path cannot return a status: every answer is the
     // kDeadlineExceeded placeholder instead.
     const std::vector<ServedAnswer> answers =
-        (*server)->AnswerBatch(*workload, expired);
+        (*server)->AnswerBatch(CountRequests(*workload), expired);
     ASSERT_EQ(answers.size(), workload->size());
     for (const ServedAnswer& answer : answers) {
       EXPECT_TRUE(answer.status == AnswerStatus::kDeadlineExceeded);
@@ -1098,7 +1188,8 @@ TEST(QueryServer, ExpiredAtSubmissionRejectedIdenticallyAcrossWorkerCounts) {
       EXPECT_EQ(answer.ci_hi, 0.0);
     }
     // The server serves normally afterwards.
-    EXPECT_EQ((*server)->AnswerBatch(*workload).size(), workload->size());
+    EXPECT_EQ((*server)->AnswerBatch(CountRequests(*workload)).size(),
+            workload->size());
   }
 }
 
@@ -1113,7 +1204,7 @@ TEST(QueryServer, MidFlightExpiryShedsAChunkAlignedSuffix) {
   SubmitOptions submit;
   submit.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-  std::vector<AggregateQuery> batch(16);
+  std::vector<ServedRequest> batch(16);
   auto submitted = (*server)->SubmitBatch(batch, submit);
   ASSERT_OK(submitted);
   // Wait for the worker to pin inside a claimed chunk — or, on a very
