@@ -1,11 +1,11 @@
-// Serving-layer benchmark: sustained COUNT(*) throughput of
-// serve/QueryServer over one BUREL publication, across worker counts,
-// with per-query latency quantiles — plus a calibration check that the
-// served confidence intervals actually cover the ground truth at
-// roughly their nominal rate (the fig8 vary-λ panel, answered with
-// intervals and scored against PreciseCounts), and a mixed-aggregate
-// panel (COUNT / SUM / AVG / GROUP-BY-SA) served asynchronously
-// through SubmitBatch and scored against PreciseSums /
+// Serving-layer benchmark: sustained COUNT(*) throughput of a
+// one-epoch serve/EpochServer over one BUREL publication, across
+// worker counts, with per-query latency quantiles — plus a calibration
+// check that the served confidence intervals actually cover the ground
+// truth at roughly their nominal rate (the fig8 vary-λ panel, answered
+// with intervals and scored against PreciseCounts), and a
+// mixed-aggregate panel (COUNT / SUM / AVG / GROUP-BY-SA) served
+// asynchronously through SubmitBatch and scored against PreciseSums /
 // PreciseGroupCounts ground truth, with whole-batch latency quantiles.
 //
 // The hardening panels exercise the overload machinery end to end:
@@ -32,9 +32,9 @@
 // Emits the measured series as JSON for the CI artifact. Throughput is
 // machine-dependent and only reported; the bench hard-fails on the
 // machine-independent properties — answers bit-identical across worker
-// counts and across the sync/async entry points, 95% CI coverage
-// within [0.85, 1.0] on every λ, aggregate-panel coverage floors, and
-// the hardening-panel contracts above.
+// counts and across the AnswerBatch/SubmitBatch entry points, 95% CI
+// coverage within [0.85, 1.0] on every λ, aggregate-panel coverage
+// floors, and the hardening-panel contracts above.
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -53,6 +53,7 @@
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
+#include "common/span.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "query/estimator.h"
@@ -90,47 +91,61 @@ std::vector<AggregateQuery> MakeWorkload(const TableSchema& schema,
   return std::move(workload).value();
 }
 
-std::unique_ptr<QueryServer> MakeServer(
-    const std::shared_ptr<const Estimator>& estimator, int workers) {
-  QueryServerOptions options;
-  options.num_workers = workers;
-  auto server = QueryServer::Create(estimator, options);
+// A single-publication server: an EpochServer with one epoch.
+std::unique_ptr<EpochServer> MakeServer(
+    const std::shared_ptr<const Estimator>& estimator,
+    const QueryServerOptions& options) {
+  auto server = EpochServer::Create(0, estimator, options);
   BETALIKE_CHECK(server.ok()) << server.status().ToString();
   return std::move(server).value();
 }
 
+std::unique_ptr<EpochServer> MakeServer(
+    const std::shared_ptr<const Estimator>& estimator, int workers) {
+  QueryServerOptions options;
+  options.num_workers = workers;
+  return MakeServer(estimator, options);
+}
+
+std::vector<ServedAnswer> AnswerOrDie(EpochServer& server,
+                                      std::vector<ServedRequest> batch) {
+  auto answers = server.AnswerBatch(std::move(batch));
+  BETALIKE_CHECK(answers.ok()) << answers.status().ToString();
+  return std::move(answers).value();
+}
+
 // Answers must be bit-identical across worker counts AND across the
-// sync/async entry points: every answer is a pure function of (query,
-// publication), and neither the chunked fan-out nor the job queue may
-// change that.
+// AnswerBatch/SubmitBatch entry points: every answer is a pure
+// function of (query, publication), and neither the chunked fan-out
+// nor the job queue may change that.
 void CheckDeterminism(const std::shared_ptr<const Estimator>& estimator,
                       const std::vector<AggregateQuery>& workload,
                       int max_threads) {
   const std::vector<ServedRequest> requests = CountRequests(workload);
   const std::vector<ServedAnswer> reference =
-      MakeServer(estimator, 1)->AnswerBatch(requests);
+      AnswerOrDie(*MakeServer(estimator, 1), requests);
   for (int workers : {2, max_threads}) {
     if (workers < 2) continue;
     const std::vector<ServedAnswer> got =
-        MakeServer(estimator, workers)->AnswerBatch(requests);
+        AnswerOrDie(*MakeServer(estimator, workers), requests);
     BETALIKE_CHECK(got.size() == reference.size());
     BETALIKE_CHECK(std::memcmp(got.data(), reference.data(),
                                got.size() * sizeof(ServedAnswer)) == 0)
         << "answers differ between 1 and " << workers << " workers";
   }
   for (int workers : {1, 2, max_threads}) {
-    const std::unique_ptr<QueryServer> server = MakeServer(estimator, workers);
+    const std::unique_ptr<EpochServer> server = MakeServer(estimator, workers);
     auto submitted = server->SubmitBatch(requests);
     BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
     const std::vector<ServedAnswer> got = submitted->get();
     BETALIKE_CHECK(got.size() == reference.size());
     BETALIKE_CHECK(std::memcmp(got.data(), reference.data(),
                                got.size() * sizeof(ServedAnswer)) == 0)
-        << "async answers differ from synchronous at " << workers
+        << "SubmitBatch answers differ from AnswerBatch at " << workers
         << " workers";
   }
-  std::printf("# determinism: 1 == 2 == %d workers, sync == async "
-              "(bit-identical, %zu queries)\n\n",
+  std::printf("# determinism: 1 == 2 == %d workers, AnswerBatch == "
+              "SubmitBatch (bit-identical, %zu queries)\n\n",
               max_threads, workload.size());
 }
 
@@ -146,30 +161,38 @@ ThroughputPoint MeasureThroughput(
     const std::shared_ptr<const Estimator>& estimator,
     const std::vector<AggregateQuery>& workload, int threads,
     int64_t batch_size, int64_t total_queries) {
-  const std::unique_ptr<QueryServer> server = MakeServer(estimator, threads);
+  const std::unique_ptr<EpochServer> server = MakeServer(estimator, threads);
   const std::vector<ServedRequest> requests = CountRequests(workload);
   const Span<ServedRequest> all(requests);
+  const auto copy = [](Span<ServedRequest> slice) {
+    return std::vector<ServedRequest>(slice.data(),
+                                      slice.data() + slice.size());
+  };
 
   // One warmup pass (page in the index, spin up the pool).
-  server->AnswerBatch(all.Slice(0, batch_size));
-  server->ResetHistograms();
+  AnswerOrDie(*server, copy(all.Slice(0, batch_size)));
+  server->query_server().ResetHistograms();
 
+  // Each batch is copied out of the workload before its call, so only
+  // the AnswerBatch calls themselves are timed.
   int64_t served = 0;
   size_t offset = 0;
-  WallTimer timer;
+  double seconds = 0.0;
   while (served < total_queries) {
-    Span<ServedRequest> batch = all.Slice(offset, batch_size);
+    std::vector<ServedRequest> batch = copy(all.Slice(offset, batch_size));
     if (batch.empty()) {
       offset = 0;
       continue;
     }
-    server->AnswerBatch(batch);
-    served += static_cast<int64_t>(batch.size());
-    offset += batch.size();
+    const size_t n = batch.size();
+    WallTimer timer;
+    AnswerOrDie(*server, std::move(batch));
+    seconds += timer.ElapsedSeconds();
+    served += static_cast<int64_t>(n);
+    offset += n;
   }
-  const double seconds = timer.ElapsedSeconds();
 
-  const LatencyHistogram merged = server->MergedHistogram();
+  const LatencyHistogram merged = server->query_server().MergedHistogram();
   ThroughputPoint point;
   point.threads = threads;
   point.qps = static_cast<double>(served) / seconds;
@@ -195,9 +218,8 @@ CalibrationPoint MeasureCalibration(
       table->schema(), num_queries, lambda, 0.1, 100 + lambda);
   const std::vector<int64_t> truth = PreciseCounts(*table, workload);
 
-  const std::unique_ptr<QueryServer> server = MakeServer(estimator, 2);
   const std::vector<ServedAnswer> answers =
-      server->AnswerBatch(CountRequests(workload));
+      AnswerOrDie(*MakeServer(estimator, 2), CountRequests(workload));
 
   CalibrationPoint point;
   point.lambda = lambda;
@@ -269,7 +291,7 @@ AggregatePoint ScoreAnswers(const char* kind,
 // Submits `requests` as a stream of async sub-batches (queued ahead of
 // any get(), so the pool sees a real multi-batch backlog) and returns
 // the concatenated answers in request order.
-std::vector<ServedAnswer> ServeAsync(QueryServer& server,
+std::vector<ServedAnswer> ServeAsync(EpochServer& server,
                                      const std::vector<ServedRequest>& requests,
                                      size_t sub_batch, size_t* batches) {
   std::vector<std::future<std::vector<ServedAnswer>>> futures;
@@ -323,7 +345,7 @@ AggregatesResult MeasureAggregates(
     }
   }
 
-  const std::unique_ptr<QueryServer> server = MakeServer(estimator, workers);
+  const std::unique_ptr<EpochServer> server = MakeServer(estimator, workers);
   AggregatesResult result;
   result.points.push_back(ScoreAnswers(
       "count", ServeAsync(*server, count_reqs, 256, &result.batches),
@@ -336,7 +358,7 @@ AggregatesResult MeasureAggregates(
       "group_count", ServeAsync(*server, group_reqs, 256, &result.batches),
       group_truth));
 
-  const LatencyHistogram batches = server->BatchHistogram();
+  const LatencyHistogram batches = server->query_server().BatchHistogram();
   BETALIKE_CHECK(batches.count() == static_cast<uint64_t>(result.batches));
   result.batch_p50_us =
       static_cast<double>(batches.QuantileNanos(0.50)) / 1000.0;
@@ -371,9 +393,8 @@ AdmissionResult MeasureAdmission(
   options.num_workers = workers;
   options.max_queued_requests = result.cap;
   options.admission_policy = AdmissionPolicy::kReject;
-  auto created = QueryServer::Create(estimator, options);
-  BETALIKE_CHECK(created.ok()) << created.status().ToString();
-  QueryServer& server = **created;
+  const std::unique_ptr<EpochServer> created = MakeServer(estimator, options);
+  EpochServer& server = *created;
 
   const std::vector<ServedRequest> requests = CountRequests(workload);
   const Span<ServedRequest> all(requests);
@@ -386,8 +407,8 @@ AdmissionResult MeasureAdmission(
     ++result.submitted;
     auto submitted = server.SubmitBatch(
         std::vector<ServedRequest>(slice.data(), slice.data() + slice.size()));
-    result.max_queued_seen =
-        std::max(result.max_queued_seen, server.queued_requests());
+    result.max_queued_seen = std::max(
+        result.max_queued_seen, server.query_server().queued_requests());
     if (submitted.ok()) {
       ++result.admitted;
       futures.push_back(std::move(*submitted));
@@ -415,7 +436,7 @@ AdmissionResult MeasureAdmission(
     const Span<ServedRequest> slice = all.Slice(0, 256);
     auto submitted = server.SubmitBatch(
         std::vector<ServedRequest>(slice.data(), slice.data() + slice.size()),
-        expired);
+        EpochServer::kLatestEpoch, expired);
     BETALIKE_CHECK(!submitted.ok() &&
                    submitted.status().code() == StatusCode::kDeadlineExceeded)
         << "already-expired batch was not rejected";
@@ -431,7 +452,8 @@ AdmissionResult MeasureAdmission(
     SubmitOptions tight;
     tight.deadline = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(200);
-    auto submitted = server.SubmitBatch(std::move(batch), tight);
+    auto submitted =
+        server.SubmitBatch(std::move(batch), EpochServer::kLatestEpoch, tight);
     if (!submitted.ok()) {
       BETALIKE_CHECK(submitted.status().code() ==
                      StatusCode::kDeadlineExceeded)
@@ -482,10 +504,8 @@ FairnessResult MeasureFairness(
   result.workers = workers;
   QueryServerOptions options;
   options.num_workers = workers;
-  options.chunk_size = 64;
-  auto created = QueryServer::Create(estimator, options);
-  BETALIKE_CHECK(created.ok()) << created.status().ToString();
-  QueryServer& server = **created;
+  const std::unique_ptr<EpochServer> created = MakeServer(estimator, options);
+  EpochServer& server = *created;
 
   BETALIKE_CHECK(workload.size() >= result.big_batch);
   const std::vector<ServedRequest> requests = CountRequests(workload);
@@ -502,7 +522,8 @@ FairnessResult MeasureFairness(
     submit.client_id = 1;
     while (!stop.load()) {
       const auto start = std::chrono::steady_clock::now();
-      auto submitted = server.SubmitBatch(big, submit);
+      auto submitted =
+          server.SubmitBatch(big, EpochServer::kLatestEpoch, submit);
       BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
       big_submitted.store(true);
       submitted->get();
@@ -523,7 +544,8 @@ FairnessResult MeasureFairness(
   submit.client_id = 2;
   for (int b = 0; b < kSmallBatches; ++b) {
     const auto start = std::chrono::steady_clock::now();
-    auto submitted = server.SubmitBatch(small, submit);
+    auto submitted =
+        server.SubmitBatch(small, EpochServer::kLatestEpoch, submit);
     BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
     submitted->get();
     small_us.push_back(std::chrono::duration<double, std::micro>(
@@ -572,7 +594,6 @@ EpochsResult MeasureEpochs(const std::shared_ptr<const Table>& table,
 
   QueryServerOptions options;
   options.num_workers = workers;
-  options.chunk_size = 64;
   auto created = EpochServer::Create(1, epoch1, options);
   BETALIKE_CHECK(created.ok()) << created.status().ToString();
   EpochServer& server = **created;

@@ -24,7 +24,7 @@ Result<std::unique_ptr<EpochServer>> EpochServer::Create(
     return Status::InvalidArgument("estimator must not be null");
   }
   Result<std::unique_ptr<QueryServer>> server =
-      QueryServer::Create(estimator, options);
+      QueryServer::Create(options);
   if (!server.ok()) return server.status();
   auto registry = std::make_shared<Registry>();
   registry->epochs.emplace_back(epoch_id, std::move(estimator));
@@ -118,8 +118,18 @@ Result<std::future<std::vector<ServedAnswer>>> EpochServer::SubmitBatch(
   Result<std::shared_ptr<const Estimator>> estimator =
       EpochEstimator(epoch_id);
   if (!estimator.ok()) return estimator.status();
-  return server_->SubmitBatchOn(std::move(*estimator), std::move(batch),
-                                options);
+  return server_->SubmitBatch(std::move(*estimator), std::move(batch),
+                              options);
+}
+
+Result<std::vector<ServedAnswer>> EpochServer::AnswerBatch(
+    std::vector<ServedRequest> batch, int64_t epoch_id,
+    const SubmitOptions& options) {
+  Result<std::shared_ptr<const Estimator>> estimator =
+      EpochEstimator(epoch_id);
+  if (!estimator.ok()) return estimator.status();
+  return server_->AnswerBatch(std::move(*estimator), std::move(batch),
+                              options);
 }
 
 }  // namespace betalike

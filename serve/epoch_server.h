@@ -1,5 +1,6 @@
-// Multi-epoch serving: one QueryServer pool fronting N immutable
-// (epoch_id, Estimator) publications of the same logical table.
+// The serving front: one QueryServer pool fronting N immutable
+// (epoch_id, Estimator) publications of the same logical table. A
+// single-publication server is an EpochServer with one epoch.
 //
 // The republication story (ROADMAP; SNIPPETS.md Snippet 1,
 // DBSP-style view maintenance) produces a fresh anonymized
@@ -10,15 +11,20 @@
 //     behind an atomically swapped shared_ptr. Routing a batch reads
 //     one snapshot; PublishEpoch/RetireEpoch build a new snapshot and
 //     swap it in. Readers never block writers and vice versa.
-//   - Every routed batch pins shared ownership of the estimator it
-//     resolved (QueryServer::SubmitBatchOn), so RetireEpoch returns
-//     immediately and the retired publication is freed only after its
-//     last in-flight batch completes. In-flight batches are never
-//     paused, re-routed, or cancelled by a swap.
+//   - Every routed batch becomes an owned QueryServer job that pins
+//     shared ownership of the estimator it resolved, so RetireEpoch
+//     returns immediately and the retired publication is freed only
+//     after its last in-flight batch completes. In-flight batches are
+//     never paused, re-routed, or cancelled by a swap.
 //   - Epoch ids are client-chosen, distinct, and typically increasing;
 //     "latest" is the numerically largest live id, and a batch routed
 //     with kLatestEpoch (the default) binds to the latest epoch at
 //     submission time — a concurrent publish does not re-route it.
+//
+// SubmitBatch (a future) and AnswerBatch (the answers, with the caller
+// helping the pool) route identically and share every QueryServer
+// rule: admission, deadlines, fair scheduling, any number of
+// concurrent callers.
 //
 // Consistency across adjacent epochs is checked with
 // CrossEpochConsistent: the same query served on epoch k and k+1 of
@@ -86,13 +92,6 @@ class EpochServer {
   std::vector<int64_t> epochs() const;
   int64_t latest_epoch() const;
 
-  // The live estimator for `epoch_id` (kLatestEpoch for the latest);
-  // NotFound when the epoch is not live. The returned shared_ptr stays
-  // valid past retirement — it pins the publication like an in-flight
-  // batch does.
-  Result<std::shared_ptr<const Estimator>> EpochEstimator(
-      int64_t epoch_id) const;
-
   // Routes the batch to `epoch_id` (resolved against the registry
   // snapshot at submission) and submits it on the shared pool —
   // admission control, deadlines, and fair scheduling all apply
@@ -100,6 +99,13 @@ class EpochServer {
   // not live; the QueryServer submission errors (DeadlineExceeded /
   // ResourceExhausted / FailedPrecondition) pass through.
   Result<std::future<std::vector<ServedAnswer>>> SubmitBatch(
+      std::vector<ServedRequest> batch, int64_t epoch_id = kLatestEpoch,
+      const SubmitOptions& options = {});
+
+  // Routes exactly as SubmitBatch, then answers through
+  // QueryServer::AnswerBatch: the calling thread helps the pool and
+  // returns the answers, or the same error statuses.
+  Result<std::vector<ServedAnswer>> AnswerBatch(
       std::vector<ServedRequest> batch, int64_t epoch_id = kLatestEpoch,
       const SubmitOptions& options = {});
 
@@ -118,6 +124,13 @@ class EpochServer {
               std::shared_ptr<const Registry> registry);
 
   std::shared_ptr<const Registry> Snapshot() const;
+
+  // The live estimator for `epoch_id` (kLatestEpoch for the latest);
+  // NotFound when the epoch is not live. The returned shared_ptr stays
+  // valid past retirement — it pins the publication like an in-flight
+  // batch does.
+  Result<std::shared_ptr<const Estimator>> EpochEstimator(
+      int64_t epoch_id) const;
 
   std::unique_ptr<QueryServer> server_;
   // Swapped with std::atomic_store / read with std::atomic_load;

@@ -23,11 +23,14 @@ class LatencyHistogram {
   }
 
   // Upper edge of the bucket holding the q-quantile sample (q in
-  // [0, 1]); 0 when nothing was recorded. Conservative: never
-  // underestimates the sample's latency by more than one sub-bucket.
+  // [0, 1]; NaN reads as 0, like any q below the range); 0 when
+  // nothing was recorded. Conservative: never underestimates the
+  // sample's latency by more than one sub-bucket.
   uint64_t QuantileNanos(double q) const {
     if (total_ == 0) return 0;
-    if (q < 0.0) q = 0.0;
+    // Negated so NaN clamps too; it would otherwise reach the
+    // uint64_t cast below, which is UB for NaN.
+    if (!(q >= 0.0)) q = 0.0;
     if (q > 1.0) q = 1.0;
     // Rank of the quantile sample, 1-based: ceil(q * total), the
     // nearest-rank definition. Truncating instead rounds the rank

@@ -15,24 +15,6 @@ uint64_t ElapsedNanos(std::chrono::steady_clock::time_point start,
           .count());
 }
 
-// RAII around the synchronous-call counter: AnswerBatch borrows the
-// caller's storage, so overlapping synchronous calls are a client bug
-// caught loudly instead of racing.
-class SyncCallGuard {
- public:
-  explicit SyncCallGuard(std::atomic<int>* calls) : calls_(calls) {
-    const int prev = calls_->fetch_add(1, std::memory_order_acq_rel);
-    BETALIKE_CHECK(prev == 0)
-        << "QueryServer::AnswerBatch called while another synchronous batch "
-           "is in flight; the synchronous path is one-batch-at-a-time — "
-           "concurrent clients must use SubmitBatch";
-  }
-  ~SyncCallGuard() { calls_->fetch_sub(1, std::memory_order_acq_rel); }
-
- private:
-  std::atomic<int>* calls_;
-};
-
 // Zero placeholder fields carrying a non-kOk disposition.
 ServedAnswer UnservedAnswer(AnswerStatus status) {
   ServedAnswer answer;
@@ -93,26 +75,17 @@ std::vector<ServedRequest> CountRequests(
 }
 
 Result<std::unique_ptr<QueryServer>> QueryServer::Create(
-    std::shared_ptr<const Estimator> estimator,
     const QueryServerOptions& options) {
-  if (estimator == nullptr) {
-    return Status::InvalidArgument("estimator must not be null");
-  }
   if (options.num_workers < 1) {
     return Status::InvalidArgument("num_workers must be >= 1");
   }
-  if (options.chunk_size < 1) {
-    return Status::InvalidArgument("chunk_size must be >= 1");
-  }
   Result<double> z = NormalCriticalValue(options.confidence);
   if (!z.ok()) return z.status();
-  return std::unique_ptr<QueryServer>(
-      new QueryServer(std::move(estimator), options, *z));
+  return std::unique_ptr<QueryServer>(new QueryServer(options, *z));
 }
 
-QueryServer::QueryServer(std::shared_ptr<const Estimator> estimator,
-                         const QueryServerOptions& options, double z)
-    : estimator_(std::move(estimator)), options_(options), z_(z) {
+QueryServer::QueryServer(const QueryServerOptions& options, double z)
+    : options_(options), z_(z) {
   histograms_.reserve(options_.num_workers);
   for (int w = 0; w < options_.num_workers; ++w) {
     histograms_.push_back(std::make_unique<GuardedHistogram>());
@@ -140,82 +113,64 @@ QueryServer::~QueryServer() {
   for (std::thread& t : threads_) t.join();
 }
 
-std::shared_ptr<QueryServer::BatchJob> QueryServer::NewJob(
-    std::shared_ptr<const Estimator> estimator,
-    std::vector<ServedRequest> owned, Span<ServedRequest> requests,
-    const SubmitOptions& options) const {
-  auto job = std::make_shared<BatchJob>();
-  job->owned_requests = std::move(owned);
-  job->requests = job->owned_requests.empty()
-                      ? requests
-                      : Span<ServedRequest>(job->owned_requests);
-  job->estimator = std::move(estimator);
-  job->answers.resize(job->size());
-  job->start = std::chrono::steady_clock::now();
-  job->deadline = options.deadline;
-  job->has_deadline = options.has_deadline();
-  return job;
-}
-
-std::vector<ServedAnswer> QueryServer::AnswerBatch(
-    Span<ServedRequest> batch, const SubmitOptions& options) {
-  SyncCallGuard guard(&sync_calls_);
-  if (batch.empty()) return {};
-  const std::shared_ptr<BatchJob> job = NewJob(estimator_, {}, batch, options);
-  std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
-  if (!threads_.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    EnqueueLocked(job, options.client_id);
-  }
-  work_cv_.notify_all();
-  // The caller participates as worker 0 (a no-op once the cursor is
-  // exhausted), then waits out the pool.
-  DrainJob(job, 0);
-  return done.get();
-}
-
-Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatch(
-    std::vector<ServedRequest> batch, const SubmitOptions& options) {
-  return SubmitBatchOn(estimator_, std::move(batch), options);
-}
-
-Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatchOn(
+Result<std::shared_ptr<QueryServer::BatchJob>> QueryServer::Submit(
     std::shared_ptr<const Estimator> estimator,
     std::vector<ServedRequest> batch, const SubmitOptions& options) {
   if (estimator == nullptr) {
     return Status::InvalidArgument("estimator must not be null");
   }
+  auto job = std::make_shared<BatchJob>();
+  job->done = job->promise.get_future();
   if (batch.empty()) {
-    std::promise<std::vector<ServedAnswer>> ready;
-    ready.set_value({});
-    return ready.get_future();
+    job->promise.set_value({});
+    return job;
   }
-  const std::shared_ptr<BatchJob> job =
-      NewJob(std::move(estimator), std::move(batch), {}, options);
-  if (job->has_deadline && job->start >= job->deadline) {
+  job->requests = std::move(batch);
+  job->estimator = std::move(estimator);
+  job->options = options;
+  job->answers.resize(job->size());
+  job->start = std::chrono::steady_clock::now();
+  if (options.has_deadline() && job->start >= options.deadline) {
     // Checked before any admission or work: an already-expired batch
     // is rejected identically at every worker count.
     return Status::DeadlineExceeded(
         "batch deadline passed before submission");
   }
-  std::future<std::vector<ServedAnswer>> done = job->promise.get_future();
-  if (threads_.empty()) {
-    // No pool: answer on the submitting thread, completing the job
-    // (and its future) before returning. Nothing queues, so admission
-    // control does not apply.
-    DrainJob(job, 0);
-    return done;
-  }
   {
     std::unique_lock<std::mutex> lock(mu_);
     Status admitted = AdmitLocked(lock, job->size());
     if (!admitted.ok()) return admitted;
-    job->counted = true;
     queued_requests_ += job->size();
-    EnqueueLocked(job, options.client_id);
+    // Without a pool the submitting thread answers the whole job
+    // itself, so there is nothing to queue.
+    if (!threads_.empty()) EnqueueLocked(job);
   }
   work_cv_.notify_all();
-  return done;
+  return job;
+}
+
+Result<std::future<std::vector<ServedAnswer>>> QueryServer::SubmitBatch(
+    std::shared_ptr<const Estimator> estimator,
+    std::vector<ServedRequest> batch, const SubmitOptions& options) {
+  Result<std::shared_ptr<BatchJob>> job =
+      Submit(std::move(estimator), std::move(batch), options);
+  if (!job.ok()) return job.status();
+  // No pool: answer on the submitting thread, completing the job (and
+  // its future) before returning.
+  if (threads_.empty()) DrainJob(*job);
+  return std::move((*job)->done);
+}
+
+Result<std::vector<ServedAnswer>> QueryServer::AnswerBatch(
+    std::shared_ptr<const Estimator> estimator,
+    std::vector<ServedRequest> batch, const SubmitOptions& options) {
+  Result<std::shared_ptr<BatchJob>> job =
+      Submit(std::move(estimator), std::move(batch), options);
+  if (!job.ok()) return job.status();
+  // The caller helps as worker 0 (a no-op once the pool has claimed
+  // every chunk), then waits out the chunks the pool holds.
+  DrainJob(*job);
+  return (*job)->done.get();
 }
 
 Status QueryServer::AdmitLocked(std::unique_lock<std::mutex>& lock,
@@ -246,8 +201,8 @@ Status QueryServer::AdmitLocked(std::unique_lock<std::mutex>& lock,
   return Status::Ok();
 }
 
-void QueryServer::EnqueueLocked(const std::shared_ptr<BatchJob>& job,
-                                uint64_t client_id) {
+void QueryServer::EnqueueLocked(const std::shared_ptr<BatchJob>& job) {
+  const uint64_t client_id = job->options.client_id;
   ClientState& client = clients_[client_id];
   if (client.jobs.empty()) {
     client.deficit = 0;
@@ -256,17 +211,25 @@ void QueryServer::EnqueueLocked(const std::shared_ptr<BatchJob>& job,
   client.jobs.push_back(job);
 }
 
-bool QueryServer::CheckExpiryLocked(BatchJob& job) const {
-  if (job.expired) return true;
-  if (job.has_deadline &&
-      std::chrono::steady_clock::now() >= job.deadline) {
-    job.expired = true;
+QueryServer::Chunk QueryServer::ClaimLocked(
+    const std::shared_ptr<BatchJob>& job) {
+  if (!job->expired && job->options.has_deadline() &&
+      std::chrono::steady_clock::now() >= job->options.deadline) {
+    job->expired = true;
   }
-  return job.expired;
+  Chunk chunk;
+  chunk.job = job;
+  chunk.begin = job->next_index;
+  // An expired job sheds all remaining requests in one claim — they
+  // cost no estimator work, so there is nothing to interleave.
+  chunk.end = job->expired ? job->size()
+                           : std::min(chunk.begin + kChunkSize, job->size());
+  chunk.expired = job->expired;
+  job->next_index = chunk.end;
+  return chunk;
 }
 
 bool QueryServer::ClaimNextChunkLocked(Chunk* chunk) {
-  const size_t chunk_size = static_cast<size_t>(options_.chunk_size);
   while (!active_ring_.empty()) {
     const uint64_t client_id = active_ring_.front();
     auto it = clients_.find(client_id);
@@ -289,22 +252,11 @@ bool QueryServer::ClaimNextChunkLocked(Chunk* chunk) {
     // head-of-line delay is bounded by one chunk per active client,
     // not by a whole batch.
     if (client.deficit <= 0) {
-      client.deficit += static_cast<int64_t>(chunk_size);
+      client.deficit += static_cast<int64_t>(kChunkSize);
     }
-    const std::shared_ptr<BatchJob>& job = client.jobs.front();
-    const bool expired = CheckExpiryLocked(*job);
-    const size_t begin = job->next_index;
-    // An expired job sheds all remaining requests in one claim — they
-    // cost no estimator work, so there is nothing to interleave.
-    const size_t end =
-        expired ? job->size() : std::min(begin + chunk_size, job->size());
-    job->next_index = end;
-    client.deficit -= static_cast<int64_t>(end - begin);
-    chunk->job = job;  // copy before any pop below invalidates the ref
-    chunk->begin = begin;
-    chunk->end = end;
-    chunk->expired = expired;
-    if (end >= chunk->job->size()) client.jobs.pop_front();
+    *chunk = ClaimLocked(client.jobs.front());
+    client.deficit -= static_cast<int64_t>(chunk->end - chunk->begin);
+    if (chunk->end >= chunk->job->size()) client.jobs.pop_front();
     if (client.jobs.empty()) {
       active_ring_.pop_front();
       clients_.erase(it);
@@ -372,24 +324,17 @@ ServedAnswer QueryServer::AnswerOne(const Estimator& estimator,
   return out;
 }
 
-void QueryServer::DrainJob(const std::shared_ptr<BatchJob>& job, int worker) {
-  const size_t chunk_size = static_cast<size_t>(options_.chunk_size);
-  const size_t size = job->size();
+void QueryServer::DrainJob(const std::shared_ptr<BatchJob>& job) {
   for (;;) {
     Chunk chunk;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (job->next_index >= size) return;
-      const bool expired = CheckExpiryLocked(*job);
-      chunk.job = job;
-      chunk.begin = job->next_index;
-      chunk.end = expired ? size : std::min(chunk.begin + chunk_size, size);
-      chunk.expired = expired;
-      job->next_index = chunk.end;
+      if (job->next_index >= job->size()) return;
       // The ring entry (if any) is pruned lazily by the pool when it
       // next looks at this client.
+      chunk = ClaimLocked(job);
     }
-    AnswerChunk(chunk, worker);
+    AnswerChunk(chunk, 0);
   }
 }
 
@@ -427,16 +372,12 @@ void QueryServer::AnswerChunk(const Chunk& chunk, int worker) {
   if (done == size) {
     const uint64_t batch_nanos =
         ElapsedNanos(job.start, std::chrono::steady_clock::now());
-    bool notify_room = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       batch_histogram_.Record(batch_nanos);
-      if (job.counted) {
-        queued_requests_ -= size;
-        notify_room = true;
-      }
+      queued_requests_ -= size;
     }
-    if (notify_room) room_cv_.notify_all();
+    room_cv_.notify_all();
     job.promise.set_value(std::move(job.answers));
   }
 }
@@ -454,12 +395,6 @@ void QueryServer::WorkerLoop(int worker) {
     }
     AnswerChunk(chunk, worker);
   }
-}
-
-LatencyHistogram QueryServer::worker_histogram(int worker) const {
-  const GuardedHistogram& guarded = *histograms_[worker];
-  std::lock_guard<std::mutex> lock(guarded.mu);
-  return guarded.hist;
 }
 
 LatencyHistogram QueryServer::MergedHistogram() const {

@@ -1,56 +1,56 @@
-// Batched, multi-threaded aggregate serving over one anonymized
-// publication (the ROADMAP's "millions of users" layer), hardened for
-// overload: bounded admission, per-batch deadlines, and per-client
-// fair scheduling.
+// Batched, multi-threaded aggregate serving (the ROADMAP's "millions
+// of users" layer), hardened for overload: bounded admission,
+// per-batch deadlines, and per-client fair scheduling.
 //
-// A QueryServer owns a shared, immutable Estimator (query/estimator.h)
-// and a pool of persistent worker threads draining per-client queues
-// of batch jobs. Every batch is a sequence of ServedRequests (COUNT is
-// AggregateKind::kCount; CountRequests wraps a bare query workload),
-// and every entry point builds the same kind of job:
+// A QueryServer is the estimator-agnostic scheduler EpochServer
+// (serve/epoch_server.h) owns: a pool of persistent worker threads
+// draining per-client queues of batch jobs. Every batch is a sequence
+// of ServedRequests (COUNT is AggregateKind::kCount; CountRequests
+// wraps a bare query workload) served against the immutable,
+// thread-shareable Estimator the caller routes it to. Every batch
+// becomes one owned job — the job owns its requests and pins shared
+// ownership of its estimator, so a publication can be retired from a
+// registry without pausing its in-flight batches. Both entry points
+// build that job through one submit path:
 //
-//   - AnswerBatch(): synchronous — the caller enqueues its batch,
-//     participates as one more worker, and blocks until every answer
-//     is in. One in-flight synchronous batch at a time (a concurrent
-//     second call CHECK-fails; see below). Exempt from admission
-//     control (the blocking caller is its own back-pressure).
-//   - SubmitBatch() / SubmitBatchOn(): asynchronous — the batch is
-//     moved into an owned job and a std::future of the answers is
-//     returned, subject to admission control: when
-//     `max_queued_requests` is set, a batch that would overflow the
-//     queue either blocks until there is room (AdmissionPolicy::kBlock)
-//     or is shed with a ResourceExhausted status (kReject) instead of
-//     growing the queue without bound. Any number of client threads
-//     may submit concurrently. SubmitBatchOn serves against an
-//     estimator the caller supplies (the EpochServer hook).
+//   - SubmitBatch(): asynchronous — returns a std::future of the
+//     answers.
+//   - AnswerBatch(): synchronous — submits, then drains its own job as
+//     one more worker alongside the pool, then waits for the answers.
+//
+// Any number of client threads may call either concurrently, and both
+// obey the same rules. Admission: when `max_queued_requests` is set, a
+// batch that would push the admitted-but-unfinished requests past the
+// cap either blocks until there is room (AdmissionPolicy::kBlock) or is
+// shed with a ResourceExhausted status (kReject) instead of growing the
+// queue without bound.
 //
 // Every request is checked with Estimator::Validate first; a malformed
 // one is answered AnswerStatus::kInvalidQuery, never read out of
 // bounds, and the rest of its batch is served normally.
 //
 // Scheduling is deficit-round-robin over per-client queues at chunk
-// granularity: each batch is split into fixed-size chunks, and the
-// pool serves one chunk per client per turn (clients identified by
+// granularity: each batch is split into kChunkSize-request chunks, and
+// the pool serves one chunk per client per turn (clients identified by
 // SubmitOptions::client_id, batches of one client FIFO among
 // themselves). A small batch therefore waits at most one chunk per
 // competing client, never a competitor's whole batch — the strict-FIFO
 // head-of-line blocking this replaces. Every answer depends only on
 // its request and the immutable estimator, so the result vector is
 // bit-identical for any worker count, scheduling order, admission
-// configuration, or sync/async entry point.
+// configuration, or entry point.
 //
-// A batch may carry a steady-clock deadline. Expiry is checked at
+// A batch may carry a steady-clock deadline. A batch whose deadline
+// has already passed at submission is rejected with a DeadlineExceeded
+// status by both entry points, before any admission or work (so
+// identically at every worker count). Later expiry is checked at
 // chunk-claim granularity: once a claim observes the deadline passed,
 // the batch is expired for all of its remaining (unclaimed) requests,
 // which are answered with ServedAnswer::status == kDeadlineExceeded
 // and zero estimates instead of being computed. Because chunks are
 // claimed in index order, the expired answers of a batch always form a
 // chunk-aligned suffix — the answers are reproducible given the cut
-// point. A batch whose deadline has already passed at submission is
-// rejected with a DeadlineExceeded status by SubmitBatch (identically
-// at every worker count); the synchronous AnswerBatch, which cannot
-// return a status, answers it with every status set to
-// kDeadlineExceeded.
+// point.
 //
 // Requests cover four aggregates: COUNT(*), SUM(SA), AVG(SA), and
 // GROUP-BY-SA COUNT slots (one width-1 count per SA value; see
@@ -77,7 +77,6 @@
 #include <vector>
 
 #include "common/deterministic_math.h"
-#include "common/span.h"
 #include "common/status.h"
 #include "query/estimator.h"
 #include "serve/latency_histogram.h"
@@ -170,21 +169,15 @@ enum class AdmissionPolicy {
 };
 
 struct QueryServerOptions {
-  // Total workers answering a batch, *including* the calling thread of
-  // a synchronous AnswerBatch: 1 answers inline (SubmitBatch then
-  // completes on the submitting thread before returning), n spawns
-  // n-1 pool threads.
+  // Total workers answering a batch, *including* the calling thread:
+  // 1 answers every batch on the thread that submits it (SubmitBatch
+  // then returns an already-ready future), n spawns n-1 pool threads.
   int num_workers = 1;
   // Nominal two-sided coverage of the served intervals.
   double confidence = 0.95;
-  // Queries claimed per cursor increment. Large enough to amortize the
-  // claim, small enough to balance a skewed batch; also the
-  // deficit-round-robin quantum, so it bounds how long one client can
-  // hold the pool per turn.
-  int chunk_size = 64;
-  // Admission cap: total async requests admitted but not yet finished,
-  // summed over every queued batch. 0 means unbounded (the pre-
-  // admission-control behavior). Synchronous batches are exempt.
+  // Admission cap: total requests admitted but not yet finished,
+  // summed over every in-flight batch. 0 means unbounded (the pre-
+  // admission-control behavior).
   size_t max_queued_requests = 0;
   AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
 };
@@ -206,14 +199,19 @@ struct SubmitOptions {
 
 class QueryServer {
  public:
-  // Validates the options (non-null estimator, num_workers ≥ 1,
-  // chunk_size ≥ 1, supported confidence) and starts the pool.
+  // Requests claimed per cursor increment. Large enough to amortize the
+  // claim, small enough to balance a skewed batch; also the
+  // deficit-round-robin quantum, so it bounds how long one client can
+  // hold the pool per turn.
+  static constexpr size_t kChunkSize = 64;
+
+  // Validates the options (num_workers >= 1, supported confidence) and
+  // starts the pool.
   static Result<std::unique_ptr<QueryServer>> Create(
-      std::shared_ptr<const Estimator> estimator,
       const QueryServerOptions& options);
 
   // Drains every queued job (pending futures still complete), wakes
-  // any submitter blocked on admission (their SubmitBatch returns
+  // any submitter blocked on admission (its call returns
   // FailedPrecondition), then joins the pool. Clients must not call
   // SubmitBatch/AnswerBatch concurrently with destruction — share the
   // server (shared_ptr) if its lifetime is not externally ordered
@@ -223,20 +221,12 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Answers every request in `batch`, in order. Deterministic: the
-  // result depends only on the batch, the publication, and the
-  // deadline cut point (if any). Synchronous and not reentrant —
-  // a second thread calling while a batch is in flight CHECK-fails
-  // (concurrent clients must use SubmitBatch); the batch Span must
-  // stay valid until the call returns, which the blocking guarantees.
-  std::vector<ServedAnswer> AnswerBatch(Span<ServedRequest> batch,
-                                        const SubmitOptions& options = {});
-
-  // Asynchronous submission: moves the batch into an owned job, queues
-  // it on its client's queue, and returns a future that yields the
-  // answers (same values, bit for bit, as AnswerBatch).
-  // Safe to call from any number of client threads concurrently.
-  // Error returns instead of a future:
+  // Moves the batch into an owned job served against `estimator`,
+  // queues it on its client's queue, and returns a future that yields
+  // the answers, in request order. Deterministic: the answers depend
+  // only on the batch, the estimator, and the deadline cut point (if
+  // any). Error returns instead of a future:
+  //   - InvalidArgument: `estimator` is null;
   //   - DeadlineExceeded: the batch's deadline had already passed at
   //     submission (checked before any work, so identical at every
   //     worker count);
@@ -246,40 +236,34 @@ class QueryServer {
   //     submission was blocked on admission.
   // With num_workers == 1 there is no pool, so an admitted batch is
   // answered on the submitting thread and the returned future is
-  // already ready.
+  // already ready. The estimator must be immutable and
+  // thread-shareable; the job keeps it alive until the batch is done.
   Result<std::future<std::vector<ServedAnswer>>> SubmitBatch(
-      std::vector<ServedRequest> batch, const SubmitOptions& options = {});
-
-  // As SubmitBatch, but served against `estimator` instead of the
-  // server's own — the multi-epoch hook (serve/epoch_server.h): one
-  // pool serves many immutable publications, each job pinning shared
-  // ownership of the estimator it was routed to, so a publication can
-  // be retired from a registry without pausing its in-flight batches.
-  // The estimator must be non-null (InvalidArgument otherwise) and,
-  // like the server's own, immutable and thread-shareable.
-  Result<std::future<std::vector<ServedAnswer>>> SubmitBatchOn(
       std::shared_ptr<const Estimator> estimator,
       std::vector<ServedRequest> batch, const SubmitOptions& options = {});
 
-  // Per-worker latency histogram of individual query service times
-  // (worker 0 is the thread calling AnswerBatch, or the submitting
-  // thread when num_workers == 1). Returns a snapshot copy taken under
-  // the worker's histogram guard — safe to call while the pool is
+  // SubmitBatch, then the calling thread drains its own job as one
+  // more worker (the pool helps), then waits for the answers — bit for
+  // bit those of SubmitBatch, with the same error returns.
+  Result<std::vector<ServedAnswer>> AnswerBatch(
+      std::shared_ptr<const Estimator> estimator,
+      std::vector<ServedRequest> batch, const SubmitOptions& options = {});
+
+  // All workers' per-query service-time histograms merged (worker 0 is
+  // every thread answering its own batch). A snapshot copy taken under
+  // each worker's histogram guard — safe to call while the pool is
   // recording.
-  LatencyHistogram worker_histogram(int worker) const;
-  // All workers' histograms merged (a guarded snapshot, like above).
   LatencyHistogram MergedHistogram() const;
 
   // Whole-batch latency attribution: one sample per completed batch,
-  // measured from submission (or the start of a synchronous call) to
-  // the last answer — so queueing delay behind earlier jobs, and any
-  // kBlock admission wait, is included: that is what an async client
-  // experiences. Safe to call while serving.
+  // measured from submission to the last answer — so queueing delay
+  // behind earlier jobs, and any kBlock admission wait, is included:
+  // that is what a client experiences. Safe to call while serving.
   LatencyHistogram BatchHistogram() const;
 
   void ResetHistograms();
 
-  // Async requests admitted but not yet finished (the quantity
+  // Requests admitted but not yet finished (the quantity
   // max_queued_requests caps). Snapshot; moves under load.
   size_t queued_requests() const;
 
@@ -287,20 +271,13 @@ class QueryServer {
   double confidence() const { return options_.confidence; }
 
  private:
-  // One queued batch. Async jobs own their requests; the synchronous
-  // path borrows the caller's span (the caller blocks until the job
-  // completes, keeping it valid).
+  // One submitted batch: it owns its requests and pins its estimator —
+  // shared ownership keeps a retired epoch's publication alive until
+  // its last in-flight batch completes.
   struct BatchJob {
-    // The requests served: `owned_requests` for async jobs, the
-    // caller's storage for a synchronous one.
-    Span<ServedRequest> requests;
-    std::vector<ServedRequest> owned_requests;
-
-    // The estimator this job is served against (the server's own, or
-    // the per-epoch one from SubmitBatchOn). Shared ownership keeps a
-    // retired epoch's publication alive until its last in-flight batch
-    // completes.
+    std::vector<ServedRequest> requests;
     std::shared_ptr<const Estimator> estimator;
+    SubmitOptions options;
 
     std::vector<ServedAnswer> answers;
     size_t next_index = 0;  // chunk-claim cursor, guarded by mu_
@@ -308,13 +285,12 @@ class QueryServer {
     // sheds instead of computing. Guarded by mu_ (claims happen under
     // the lock).
     bool expired = false;
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
-    // Counted toward queued_requests_ (async pool jobs only).
-    bool counted = false;
     std::atomic<size_t> completed{0};  // answers finished
     std::chrono::steady_clock::time_point start;
     std::promise<std::vector<ServedAnswer>> promise;
+    // The submitter's end of `promise`, taken before the job is
+    // queued; only the submitting thread touches it.
+    std::future<std::vector<ServedAnswer>> done;
 
     size_t size() const { return requests.size(); }
   };
@@ -335,41 +311,42 @@ class QueryServer {
     int64_t deficit = 0;
   };
 
-  QueryServer(std::shared_ptr<const Estimator> estimator,
-              const QueryServerOptions& options, double z);
+  QueryServer(const QueryServerOptions& options, double z);
 
-  // The one place a job is set up: served against `estimator`, over
-  // `owned` when it is non-empty (async; moved into the job) or else
-  // over the borrowed `requests` (the synchronous caller's storage),
-  // with answers sized, the start stamped, and `options`' deadline.
-  std::shared_ptr<BatchJob> NewJob(std::shared_ptr<const Estimator> estimator,
-                                   std::vector<ServedRequest> owned,
-                                   Span<ServedRequest> requests,
-                                   const SubmitOptions& options) const;
+  // The one submit path: builds the owned job, rejects an expired or
+  // inadmissible batch, and (with a pool) queues the job. An empty
+  // batch yields a job whose answers are already delivered.
+  Result<std::shared_ptr<BatchJob>> Submit(
+      std::shared_ptr<const Estimator> estimator,
+      std::vector<ServedRequest> batch, const SubmitOptions& options);
 
   // One answer: validation, then the kind dispatch — every entry point
   // shares the exact operation sequence.
   ServedAnswer AnswerOne(const Estimator& estimator,
                          const ServedRequest& request) const;
 
-  // Admission (pool mode, under mu_): Ok to enqueue, or the shed /
-  // shutdown status. Blocks on room_cv_ under kBlock.
+  // Admission (under mu_): Ok to admit, or the shed / shutdown status.
+  // Blocks on room_cv_ under kBlock.
   Status AdmitLocked(std::unique_lock<std::mutex>& lock, size_t n);
 
-  // Queues `job` on its client's queue and wakes the pool. Every job
-  // must already carry its estimator, answers, start stamp, deadline.
-  void EnqueueLocked(const std::shared_ptr<BatchJob>& job,
-                     uint64_t client_id);
+  // Queues `job` on its client's queue. Every job must already carry
+  // its estimator, answers, start stamp, and options.
+  void EnqueueLocked(const std::shared_ptr<BatchJob>& job);
+
+  // The one chunk-claim routine (under mu_): slices the next
+  // [begin, end) off `job` — one chunk, or its whole unclaimed rest
+  // once a check finds the deadline passed — and advances its cursor.
+  Chunk ClaimLocked(const std::shared_ptr<BatchJob>& job);
 
   // The deficit-round-robin pick: claims the next chunk across all
   // client queues, pruning exhausted jobs and idle clients as it goes.
   // Returns false when nothing is claimable.
   bool ClaimNextChunkLocked(Chunk* chunk);
 
-  // Claims chunks of `job` only (the synchronous caller helping its
-  // own batch, and the poolless inline path) until its cursor is
+  // Claims chunks of `job` only (a synchronous caller helping its own
+  // batch, and the poolless inline path) until its cursor is
   // exhausted.
-  void DrainJob(const std::shared_ptr<BatchJob>& job, int worker);
+  void DrainJob(const std::shared_ptr<BatchJob>& job);
 
   // Computes (or sheds) a claimed chunk, recording per-query latency
   // into histograms_[worker]; the worker that finishes the job's last
@@ -377,15 +354,10 @@ class QueryServer {
   // and fulfills the promise.
   void AnswerChunk(const Chunk& chunk, int worker);
 
-  // Claims whether this job's deadline has passed (under mu_),
-  // latching expired.
-  bool CheckExpiryLocked(BatchJob& job) const;
-
   // Pool thread main: claim chunks until the queues are empty and
   // shutdown is requested.
   void WorkerLoop(int worker);
 
-  const std::shared_ptr<const Estimator> estimator_;
   const QueryServerOptions options_;
   const double z_;  // critical value for options_.confidence
 
@@ -400,15 +372,11 @@ class QueryServer {
   size_t queued_requests_ = 0;
   bool shutdown_ = false;
 
-  // Guard against concurrent *synchronous* calls: AnswerBatch borrows
-  // the caller's storage, so overlapping calls are a client bug —
-  // caught loudly instead of racing.
-  std::atomic<int> sync_calls_{0};
-
-  // Per-worker histograms, each behind its own light guard: pool
-  // workers Record() while observers merge/reset concurrently (the
-  // async path has no quiescent point), which was a genuine data race
-  // when the counters were bare.
+  // Per-worker histograms, each behind its own light guard: workers
+  // Record() while observers merge/reset concurrently (the async path
+  // has no quiescent point), which was a genuine data race when the
+  // counters were bare. Worker 0 is shared by every thread draining
+  // its own job.
   struct GuardedHistogram {
     mutable std::mutex mu;
     LatencyHistogram hist;

@@ -1,11 +1,12 @@
 // EpochServer tests: registry validation (publish/retire error
 // contracts, the never-empty invariant), latest-epoch routing with
-// out-of-order ids, per-epoch answers bitwise equal to a QueryServer
-// built directly on the same estimator, retirement pinning (an
-// in-flight batch on a retired epoch completes against the retired
-// publication), a live publish/retire swap under concurrent
-// submitters, and the cross-epoch CI-overlap consistency check —
-// both its pointwise semantics and a two-epoch integration sweep.
+// out-of-order ids through both SubmitBatch and AnswerBatch, per-epoch
+// answers bitwise equal to a one-epoch server built on the same
+// estimator, retirement pinning (an in-flight batch on a retired epoch
+// completes against the retired publication), a live publish/retire
+// swap under concurrent submitters, and the cross-epoch CI-overlap
+// consistency check — both its pointwise semantics and a two-epoch
+// integration sweep.
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/span.h"
 #include "query/estimator.h"
 #include "query/published_view.h"
 #include "query/workload.h"
@@ -109,28 +109,28 @@ TEST(EpochServer, RoutesBitwiseIdenticallyToDirectServers) {
   const auto epoch2 = ModKEstimator(table, 9);
 
   WorkloadOptions options;
-  options.num_queries = 80;
+  options.num_queries = 200;  // four chunks, split across the pool
   options.lambda = 2;
   options.seed = 17;
   auto workload = GenerateWorkload(table->schema(), options);
   ASSERT_OK(workload);
   const std::vector<ServedRequest> requests = CountRequests(*workload);
+  ASSERT_TRUE(requests.size() > 2 * QueryServer::kChunkSize);
 
-  // References from dedicated single-epoch servers.
+  // References from dedicated single-worker one-epoch servers.
   std::vector<ServedAnswer> reference1;
   std::vector<ServedAnswer> reference2;
   {
-    auto direct1 = QueryServer::Create(epoch1, {});
-    auto direct2 = QueryServer::Create(epoch2, {});
+    auto direct1 = EpochServer::Create(0, epoch1, {});
+    auto direct2 = EpochServer::Create(0, epoch2, {});
     ASSERT_OK(direct1);
     ASSERT_OK(direct2);
-    reference1 = (*direct1)->AnswerBatch(Span<ServedRequest>(requests));
-    reference2 = (*direct2)->AnswerBatch(Span<ServedRequest>(requests));
+    reference1 = (*direct1)->AnswerBatch(requests).value();
+    reference2 = (*direct2)->AnswerBatch(requests).value();
   }
 
   QueryServerOptions server_options;
   server_options.num_workers = 3;
-  server_options.chunk_size = 16;
   auto server = EpochServer::Create(1, epoch1, server_options);
   ASSERT_OK(server);
   ASSERT_OK((*server)->PublishEpoch(2, epoch2));
@@ -152,11 +152,17 @@ TEST(EpochServer, RoutesBitwiseIdenticallyToDirectServers) {
   expect_same(on2->get(), reference2);
   // Default routing: the latest epoch (2).
   expect_same(on_latest->get(), reference2);
+  // AnswerBatch routes exactly as SubmitBatch.
+  expect_same((*server)->AnswerBatch(requests, 1).value(), reference1);
+  expect_same((*server)->AnswerBatch(requests).value(), reference2);
 
   // A dead epoch is NotFound, not a crash or a silent re-route.
   auto missing = (*server)->SubmitBatch(requests, 9);
   ASSERT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().code() == StatusCode::kNotFound);
+  auto missing_answers = (*server)->AnswerBatch(requests, 9);
+  ASSERT_FALSE(missing_answers.ok());
+  EXPECT_TRUE(missing_answers.status().code() == StatusCode::kNotFound);
 }
 
 TEST(EpochServer, RetirementDoesNotDisturbInFlightBatches) {
@@ -171,16 +177,16 @@ TEST(EpochServer, RetirementDoesNotDisturbInFlightBatches) {
   auto workload = GenerateWorkload(table->schema(), options);
   ASSERT_OK(workload);
   const std::vector<ServedRequest> requests = CountRequests(*workload);
+  ASSERT_TRUE(requests.size() > 2 * QueryServer::kChunkSize);
   std::vector<ServedAnswer> reference1;
   {
-    auto direct = QueryServer::Create(epoch1, {});
+    auto direct = EpochServer::Create(0, epoch1, {});
     ASSERT_OK(direct);
-    reference1 = (*direct)->AnswerBatch(Span<ServedRequest>(requests));
+    reference1 = (*direct)->AnswerBatch(requests).value();
   }
 
   QueryServerOptions server_options;
   server_options.num_workers = 2;
-  server_options.chunk_size = 8;
   auto server = EpochServer::Create(1, epoch1, server_options);
   ASSERT_OK(server);
   ASSERT_OK((*server)->PublishEpoch(2, epoch2));
@@ -207,7 +213,7 @@ TEST(EpochServer, LiveSwapUnderConcurrentSubmitters) {
   const auto epoch2 = ModKEstimator(table, 8);
 
   WorkloadOptions options;
-  options.num_queries = 50;
+  options.num_queries = 150;  // three chunks per batch
   options.lambda = 2;
   options.seed = 31;
   auto workload = GenerateWorkload(table->schema(), options);
@@ -216,17 +222,16 @@ TEST(EpochServer, LiveSwapUnderConcurrentSubmitters) {
   std::vector<ServedAnswer> reference1;
   std::vector<ServedAnswer> reference2;
   {
-    auto direct1 = QueryServer::Create(epoch1, {});
-    auto direct2 = QueryServer::Create(epoch2, {});
+    auto direct1 = EpochServer::Create(0, epoch1, {});
+    auto direct2 = EpochServer::Create(0, epoch2, {});
     ASSERT_OK(direct1);
     ASSERT_OK(direct2);
-    reference1 = (*direct1)->AnswerBatch(Span<ServedRequest>(requests));
-    reference2 = (*direct2)->AnswerBatch(Span<ServedRequest>(requests));
+    reference1 = (*direct1)->AnswerBatch(requests).value();
+    reference2 = (*direct2)->AnswerBatch(requests).value();
   }
 
   QueryServerOptions server_options;
   server_options.num_workers = 3;
-  server_options.chunk_size = 8;
   auto server = EpochServer::Create(1, epoch1, server_options);
   ASSERT_OK(server);
 

@@ -14,6 +14,7 @@
 #include "query/estimator.h"
 #include "query/published_view.h"
 #include "query/workload.h"
+#include "serve/epoch_server.h"
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
 #include "tests/estimator_oracle.h"
@@ -581,7 +582,8 @@ TEST(EstimatorInterface, RejectsInvalidRetention) {
 
 // AnswerBatch fans the batch across a worker pool; every answer is a
 // pure function of its query, so the full ServedAnswer vector must be
-// bit-identical for 1, 2, and 8 workers.
+// bit-identical for 1, 2, and 8 workers. The 150-query workload spans
+// three chunks, so the pool really splits it.
 TEST(QueryServer, AnswerBatchDeterministicAcrossWorkerCounts) {
   const auto table = SmallCensus(2000);
   const std::shared_ptr<const Estimator> estimator = MakeEstimatorOrDie(
@@ -590,14 +592,16 @@ TEST(QueryServer, AnswerBatchDeterministicAcrossWorkerCounts) {
   for (bool include_sa : {false, true}) {
     const auto workload =
         MixedWorkload(table->schema(), include_sa, include_sa ? 101 : 103);
+    ASSERT_TRUE(workload.size() > 2 * QueryServer::kChunkSize);
     std::vector<std::vector<ServedAnswer>> results;
     for (int workers : {1, 2, 8}) {
       QueryServerOptions options;
       options.num_workers = workers;
-      options.chunk_size = 16;  // several chunks per worker
-      auto server = QueryServer::Create(estimator, options);
+      auto server = EpochServer::Create(0, estimator, options);
       ASSERT_OK(server);
-      results.push_back((*server)->AnswerBatch(CountRequests(workload)));
+      auto answers = (*server)->AnswerBatch(CountRequests(workload));
+      ASSERT_OK(answers);
+      results.push_back(std::move(*answers));
     }
     for (size_t i = 1; i < results.size(); ++i) {
       ASSERT_EQ(results[i].size(), results[0].size());

@@ -1,31 +1,27 @@
 // serve/ subsystem tests: the libm-free sqrt against <cmath>, the
 // fixed z table (including ULP-noise tolerance), latency-histogram
-// bucketing/quantiles and top-octave edge saturation, QueryServer
-// option validation, Span slicing, the served confidence intervals —
-// exact half-width on a degenerate (one-row-per-EC) publication and
-// empirical coverage where the uniform-spread model actually holds —
-// plus the async serving path: SubmitBatch futures bitwise-equal to
-// synchronous answers at every worker count, concurrent multi-client
-// submission, mixed-aggregate batches against the estimator's own
-// methods, and the synchronous re-entrancy guard (a fork-based death
-// test). The hardening layer is covered too: admission control
-// (kReject sheds with ResourceExhausted, kBlock waits for room),
-// per-batch deadlines (already-expired rejection, mid-flight
-// chunk-aligned suffix expiry), the out-of-domain GROUP-BY zero-slot
+// bucketing/quantiles (NaN included) and top-octave edge saturation,
+// QueryServer option validation, Span slicing, the served confidence
+// intervals — exact half-width on a degenerate (one-row-per-EC)
+// publication and empirical coverage where the uniform-spread model
+// actually holds — plus both entry points of one-epoch servers:
+// SubmitBatch futures bitwise-equal to AnswerBatch answers at every
+// worker count, concurrent multi-client submission, concurrent
+// AnswerBatch callers, and mixed-aggregate batches against the
+// estimator's own methods. The hardening layer is covered too:
+// admission control (kReject sheds with ResourceExhausted, kBlock
+// waits for room), per-batch deadlines (already-expired rejection,
+// mid-flight chunk-aligned suffix expiry) — each status identical
+// from AnswerBatch and SubmitBatch — the out-of-domain GROUP-BY zero-slot
 // convention on all three publication shapes, histogram observers
 // polled while the pool records (the TSan race this PR fixes), and
 // destruction racing live clients, and malformed requests (bad or
 // duplicate predicate dimensions) answered kInvalidQuery on every
 // shape without disturbing the rest of their batch.
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -211,6 +207,22 @@ TEST(LatencyHistogram, MergeAndReset) {
   EXPECT_EQ(a.QuantileNanos(0.5), 0u);
 }
 
+TEST(LatencyHistogram, NanQuantileReadsAsZero) {
+  // NaN slipped past the [0, 1] clamps into a double -> uint64_t cast
+  // (UB; UBSan's float-cast-overflow flags it) and came back as the
+  // top bucket's edge instead of the bottom one's.
+  LatencyHistogram hist;
+  for (uint64_t v : {uint64_t{1}, uint64_t{1000}, uint64_t{1000000}}) {
+    hist.Record(v);
+  }
+  // Read through a volatile so the compiler cannot constant-fold the
+  // call (and with it whatever the UB cast happens to fold to).
+  volatile double nan = std::nan("");
+  EXPECT_EQ(hist.QuantileNanos(nan), hist.QuantileNanos(0.0));
+  EXPECT_EQ(hist.QuantileNanos(-nan), hist.QuantileNanos(0.0));
+  EXPECT_LT(hist.QuantileNanos(nan), hist.QuantileNanos(1.0));
+}
+
 TEST(Span, SliceClampsToBounds) {
   const std::vector<int> v = {1, 2, 3, 4, 5};
   const Span<int> all(v);
@@ -227,21 +239,28 @@ TEST(QueryServer, CreateValidatesOptions) {
   const auto estimator =
       MakeEstimatorOrDie(PublishedView::Generalized(ModKPublication(table, 2)));
 
-  EXPECT_FALSE(QueryServer::Create(nullptr, QueryServerOptions()).ok());
-
   QueryServerOptions options;
   options.num_workers = 0;
-  EXPECT_FALSE(QueryServer::Create(estimator, options).ok());
-
-  options = QueryServerOptions();
-  options.chunk_size = 0;
-  EXPECT_FALSE(QueryServer::Create(estimator, options).ok());
+  EXPECT_FALSE(QueryServer::Create(options).ok());
 
   options = QueryServerOptions();
   options.confidence = 0.5;
-  EXPECT_FALSE(QueryServer::Create(estimator, options).ok());
+  EXPECT_FALSE(QueryServer::Create(options).ok());
 
-  EXPECT_OK(QueryServer::Create(estimator, QueryServerOptions()));
+  // The scheduler holds no estimator: every submission names one, and
+  // both entry points reject a null one.
+  auto server = QueryServer::Create(QueryServerOptions());
+  ASSERT_OK(server);
+  const std::vector<ServedRequest> one(1);
+  auto submitted = (*server)->SubmitBatch(nullptr, one);
+  ASSERT_FALSE(submitted.ok());
+  EXPECT_TRUE(submitted.status().code() == StatusCode::kInvalidArgument);
+  auto answered = (*server)->AnswerBatch(nullptr, one);
+  ASSERT_FALSE(answered.ok());
+  EXPECT_TRUE(answered.status().code() == StatusCode::kInvalidArgument);
+  auto served = (*server)->AnswerBatch(estimator, one);
+  ASSERT_OK(served);
+  EXPECT_EQ(served->size(), 1u);
 }
 
 TEST(QueryServer, ExactPublicationYieldsContinuityWidthOnly) {
@@ -256,7 +275,7 @@ TEST(QueryServer, ExactPublicationYieldsContinuityWidthOnly) {
   ASSERT_OK(published);
   const auto estimator =
       MakeEstimatorOrDie(PublishedView::Generalized(*published));
-  auto server = QueryServer::Create(estimator, QueryServerOptions());
+  auto server = EpochServer::Create(0, estimator, QueryServerOptions());
   ASSERT_OK(server);
 
   WorkloadOptions options;
@@ -269,7 +288,7 @@ TEST(QueryServer, ExactPublicationYieldsContinuityWidthOnly) {
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
 
   const std::vector<ServedAnswer> answers =
-      (*server)->AnswerBatch(CountRequests(*workload));
+      (*server)->AnswerBatch(CountRequests(*workload)).value();
   ASSERT_EQ(answers.size(), workload->size());
   for (size_t i = 0; i < answers.size(); ++i) {
     const double actual = static_cast<double>(truth[i]);
@@ -282,7 +301,8 @@ TEST(QueryServer, ExactPublicationYieldsContinuityWidthOnly) {
     EXPECT_GE(answers[i].ci_hi, actual);
   }
   // Worker 0 (the calling thread) recorded every query.
-  EXPECT_EQ((*server)->MergedHistogram().count(), workload->size());
+  EXPECT_EQ((*server)->query_server().MergedHistogram().count(),
+            workload->size());
 }
 
 TEST(QueryServer, CoverageNearNominalWhereModelHolds) {
@@ -294,7 +314,7 @@ TEST(QueryServer, CoverageNearNominalWhereModelHolds) {
       PublishedView::Generalized(ModKPublication(table, 8)));
   QueryServerOptions server_options;
   server_options.num_workers = 2;
-  auto server = QueryServer::Create(estimator, server_options);
+  auto server = EpochServer::Create(0, estimator, server_options);
   ASSERT_OK(server);
 
   WorkloadOptions options;
@@ -307,7 +327,7 @@ TEST(QueryServer, CoverageNearNominalWhereModelHolds) {
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
 
   const std::vector<ServedAnswer> answers =
-      (*server)->AnswerBatch(CountRequests(*workload));
+      (*server)->AnswerBatch(CountRequests(*workload)).value();
   int covered = 0;
   for (size_t i = 0; i < answers.size(); ++i) {
     const double actual = static_cast<double>(truth[i]);
@@ -423,9 +443,10 @@ TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
   const auto table = UniformWideTable(3000, /*seed=*/33);
   const auto estimator = MakeEstimatorOrDie(
       PublishedView::Generalized(ModKPublication(table, 9)));
-  auto server = QueryServer::Create(estimator, QueryServerOptions());
+  auto server = EpochServer::Create(0, estimator, QueryServerOptions());
   ASSERT_OK(server);
-  const double z = *NormalCriticalValue((*server)->confidence());
+  const double z =
+      *NormalCriticalValue((*server)->query_server().confidence());
 
   WorkloadOptions options;
   options.num_queries = 30;
@@ -438,7 +459,7 @@ TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
       MixedRequests(*workload, estimator->sa_num_values());
 
   const std::vector<ServedAnswer> answers =
-      (*server)->AnswerBatch(Span<ServedRequest>(requests));
+      (*server)->AnswerBatch(requests).value();
   ASSERT_EQ(answers.size(), requests.size());
 
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -477,8 +498,8 @@ TEST(QueryServer, MalformedRequestsAnsweredInvalidOnEveryShape) {
   // perturbed) and the QI column (Anatomy). The serving boundary now
   // validates each request: a malformed one comes back kInvalidQuery
   // with zero fields, and every other answer of its batch is bitwise
-  // the answer it gets in a clean batch — on the synchronous path and
-  // through EpochServer alike.
+  // the answer it gets in a clean batch — through AnswerBatch and
+  // SubmitBatch alike, on a pool whose workers split the batch.
   const auto table = UniformWideTable(3000, /*seed=*/81);
   const GeneralizedTable published = ModKPublication(table, 6);
   PerturbOptions perturb_options;
@@ -495,7 +516,7 @@ TEST(QueryServer, MalformedRequestsAnsweredInvalidOnEveryShape) {
       MakeEstimatorOrDie(PublishedView::Perturbed(*perturbed)));
 
   WorkloadOptions options;
-  options.num_queries = 12;
+  options.num_queries = 40;
   options.lambda = 2;
   options.include_sa = true;
   options.seed = 89;
@@ -524,27 +545,25 @@ TEST(QueryServer, MalformedRequestsAnsweredInvalidOnEveryShape) {
     mixed.push_back(clean[i]);
     source.push_back(static_cast<int64_t>(i));
   }
+  ASSERT_TRUE(mixed.size() > 2 * QueryServer::kChunkSize);
 
   ServedAnswer invalid;
   invalid.status = AnswerStatus::kInvalidQuery;
   QueryServerOptions pool;
   pool.num_workers = 2;
-  pool.chunk_size = 8;
   for (const auto& estimator : estimators) {
     auto reference_server =
-        QueryServer::Create(estimator, QueryServerOptions());
+        EpochServer::Create(0, estimator, QueryServerOptions());
     ASSERT_OK(reference_server);
     const std::vector<ServedAnswer> reference =
-        (*reference_server)->AnswerBatch(clean);
+        (*reference_server)->AnswerBatch(clean).value();
 
-    auto server = QueryServer::Create(estimator, pool);
+    auto server = EpochServer::Create(0, estimator, pool);
     ASSERT_OK(server);
-    auto epochs = EpochServer::Create(1, estimator, pool);
-    ASSERT_OK(epochs);
-    auto submitted = (*epochs)->SubmitBatch(mixed);
+    auto submitted = (*server)->SubmitBatch(mixed);
     ASSERT_OK(submitted);
     for (const std::vector<ServedAnswer>& got :
-         {(*server)->AnswerBatch(mixed), submitted->get()}) {
+         {(*server)->AnswerBatch(mixed).value(), submitted->get()}) {
       ASSERT_EQ(got.size(), mixed.size());
       for (size_t j = 0; j < got.size(); ++j) {
         const ServedAnswer& want =
@@ -570,14 +589,17 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
   const std::vector<ServedRequest> requests =
       MixedRequests(*workload, estimator->sa_num_values());
 
-  // Reference answers from a single-worker synchronous server.
+  ASSERT_TRUE(workload->size() > 2 * QueryServer::kChunkSize);
+
+  // Reference answers from a single-worker server's AnswerBatch.
   std::vector<ServedAnswer> count_reference;
   std::vector<ServedAnswer> mixed_reference;
   {
-    auto server = QueryServer::Create(estimator, QueryServerOptions());
+    auto server = EpochServer::Create(0, estimator, QueryServerOptions());
     ASSERT_OK(server);
-    count_reference = (*server)->AnswerBatch(CountRequests(*workload));
-    mixed_reference = (*server)->AnswerBatch(Span<ServedRequest>(requests));
+    count_reference =
+        (*server)->AnswerBatch(CountRequests(*workload)).value();
+    mixed_reference = (*server)->AnswerBatch(requests).value();
   }
 
   // memcmp is the determinism gate proper: ServedAnswer is
@@ -600,12 +622,11 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
   for (int workers : {1, 2, 8}) {
     QueryServerOptions server_options;
     server_options.num_workers = workers;
-    server_options.chunk_size = 16;
     // Admission control and fair scheduling enabled: neither may move
     // a single answer bit.
     server_options.max_queued_requests = 1 << 20;
     server_options.admission_policy = AdmissionPolicy::kReject;
-    auto server = QueryServer::Create(estimator, server_options);
+    auto server = EpochServer::Create(0, estimator, server_options);
     ASSERT_OK(server);
 
     // Several async batches queued back to back, interleaved shapes
@@ -613,7 +634,8 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
     SubmitOptions other_client;
     other_client.client_id = 7;
     auto count_future = (*server)->SubmitBatch(CountRequests(*workload));
-    auto mixed_future = (*server)->SubmitBatch(requests, other_client);
+    auto mixed_future = (*server)->SubmitBatch(
+        requests, EpochServer::kLatestEpoch, other_client);
     auto count_again = (*server)->SubmitBatch(CountRequests(*workload));
     ASSERT_OK(count_future);
     ASSERT_OK(mixed_future);
@@ -622,17 +644,17 @@ TEST(QueryServer, SubmitBatchMatchesSynchronousAnswersBitwise) {
     expect_same(mixed_future->get(), mixed_reference);
     expect_same(count_again->get(), count_reference);
 
-    // The synchronous path agrees too.
-    expect_same((*server)->AnswerBatch(CountRequests(*workload)),
+    // AnswerBatch agrees too.
+    expect_same((*server)->AnswerBatch(CountRequests(*workload)).value(),
                 count_reference);
-    expect_same((*server)->AnswerBatch(Span<ServedRequest>(requests)),
-                mixed_reference);
+    expect_same((*server)->AnswerBatch(requests).value(), mixed_reference);
 
     // Batch latency attribution: one sample per completed non-empty
-    // batch (3 async + 2 sync) — and every individual query landed in
-    // exactly one worker histogram.
-    EXPECT_EQ((*server)->BatchHistogram().count(), 5u);
-    EXPECT_EQ((*server)->MergedHistogram().count(),
+    // batch (3 SubmitBatch + 2 AnswerBatch) — and every individual
+    // query landed in exactly one worker histogram.
+    const QueryServer& pool = (*server)->query_server();
+    EXPECT_EQ(pool.BatchHistogram().count(), 5u);
+    EXPECT_EQ(pool.MergedHistogram().count(),
               3 * workload->size() + 2 * requests.size());
   }
 }
@@ -643,16 +665,17 @@ TEST(QueryServer, EmptySubmitBatchYieldsReadyEmptyFuture) {
       PublishedView::Generalized(ModKPublication(table, 2)));
   QueryServerOptions options;
   options.num_workers = 2;
-  auto server = QueryServer::Create(estimator, options);
+  auto server = EpochServer::Create(0, estimator, options);
   ASSERT_OK(server);
   auto future = (*server)->SubmitBatch(std::vector<ServedRequest>());
   ASSERT_OK(future);
   ASSERT_TRUE(future->wait_for(std::chrono::seconds(0)) ==
               std::future_status::ready);
   EXPECT_TRUE(future->get().empty());
-  EXPECT_EQ((*server)->BatchHistogram().count(), 0u);
-  // Empty synchronous batches answer immediately as well.
-  EXPECT_TRUE((*server)->AnswerBatch(Span<ServedRequest>()).empty());
+  // Empty AnswerBatch batches answer immediately as well.
+  EXPECT_TRUE(
+      (*server)->AnswerBatch(std::vector<ServedRequest>()).value().empty());
+  EXPECT_EQ((*server)->query_server().BatchHistogram().count(), 0u);
 }
 
 TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
@@ -661,8 +684,7 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
       PublishedView::Generalized(ModKPublication(table, 5)));
   QueryServerOptions server_options;
   server_options.num_workers = 4;
-  server_options.chunk_size = 8;
-  auto server = QueryServer::Create(estimator, server_options);
+  auto server = EpochServer::Create(0, estimator, server_options);
   ASSERT_OK(server);
 
   constexpr int kClients = 6;
@@ -671,7 +693,7 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
   std::vector<std::vector<ServedAnswer>> references;
   for (int c = 0; c < kClients; ++c) {
     WorkloadOptions options;
-    options.num_queries = 60;
+    options.num_queries = 150;  // three chunks per batch
     options.lambda = 2;
     options.include_sa = (c % 2 == 1);
     options.seed = 200 + static_cast<uint64_t>(c);
@@ -682,10 +704,11 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
   {
     // Single-worker reference server for the expected answers.
     auto reference_server =
-        QueryServer::Create(estimator, QueryServerOptions());
+        EpochServer::Create(0, estimator, QueryServerOptions());
     BETALIKE_CHECK(reference_server.ok());
     for (const auto& workload : workloads) {
-      references.push_back((*reference_server)->AnswerBatch(workload));
+      references.push_back(
+          (*reference_server)->AnswerBatch(workload).value());
     }
   }
 
@@ -696,7 +719,8 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
       SubmitOptions submit;
       submit.client_id = static_cast<uint64_t>(c);
       for (int b = 0; b < kBatchesPerClient; ++b) {
-        auto future = (*server)->SubmitBatch(workloads[c], submit);
+        auto future = (*server)->SubmitBatch(
+            workloads[c], EpochServer::kLatestEpoch, submit);
         if (!future.ok()) {
           mismatches.fetch_add(1);
           continue;
@@ -719,13 +743,75 @@ TEST(QueryServer, ConcurrentClientsGetConsistentAnswers) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ((*server)->BatchHistogram().count(),
+  EXPECT_EQ((*server)->query_server().BatchHistogram().count(),
             static_cast<uint64_t>(kClients * kBatchesPerClient));
 }
 
-// An estimator whose first evaluation blocks until the process dies:
-// lets the death test below hold one synchronous batch in flight
-// deterministically while a second call trips the guard.
+TEST(QueryServer, ConcurrentAnswerBatchCallersMatchSingleWorkerReference) {
+  // Six threads call AnswerBatch at once on a 3-worker server: each
+  // caller submits its own owned job, drains it beside the pool (and
+  // beside the other callers, all sharing worker 0's histogram), and
+  // gets back exactly the single-worker answers. The synchronous path
+  // used to CHECK-fail on a second concurrent caller.
+  const auto table = UniformWideTable(2000, /*seed=*/59);
+  const auto estimator = MakeEstimatorOrDie(
+      PublishedView::Generalized(ModKPublication(table, 5)));
+  constexpr int kCallers = 6;
+  constexpr int kBatchesPerCaller = 4;
+  std::vector<std::vector<ServedRequest>> workloads;
+  std::vector<std::vector<ServedAnswer>> references;
+  {
+    auto reference_server =
+        EpochServer::Create(0, estimator, QueryServerOptions());
+    ASSERT_OK(reference_server);
+    for (int c = 0; c < kCallers; ++c) {
+      WorkloadOptions options;
+      options.num_queries = 150;  // three chunks per batch
+      options.lambda = 2;
+      options.include_sa = (c % 2 == 0);
+      options.seed = 300 + static_cast<uint64_t>(c);
+      auto workload = GenerateWorkload(table->schema(), options);
+      ASSERT_OK(workload);
+      workloads.push_back(CountRequests(*workload));
+      references.push_back(
+          (*reference_server)->AnswerBatch(workloads.back()).value());
+    }
+  }
+
+  QueryServerOptions options;
+  options.num_workers = 3;
+  auto server = EpochServer::Create(0, estimator, options);
+  ASSERT_OK(server);
+  std::atomic<int> ready{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      ready.fetch_add(1);
+      while (ready.load() < kCallers) std::this_thread::yield();
+      for (int b = 0; b < kBatchesPerCaller; ++b) {
+        auto answers = (*server)->AnswerBatch(workloads[c]);
+        if (!answers.ok() || answers->size() != references[c].size() ||
+            std::memcmp(answers->data(), references[c].data(),
+                        answers->size() * sizeof(ServedAnswer)) != 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const QueryServer& pool = (*server)->query_server();
+  EXPECT_EQ(pool.BatchHistogram().count(),
+            static_cast<uint64_t>(kCallers * kBatchesPerCaller));
+  EXPECT_EQ(pool.MergedHistogram().count(),
+            static_cast<uint64_t>(kBatchesPerCaller) * kCallers * 150);
+  EXPECT_EQ(pool.queued_requests(), 0u);
+}
+
+// An estimator whose evaluations block until Release(): lets the
+// admission and deadline tests pin the pool deterministically, then
+// drain it.
 class BlockingEstimator final : public Estimator {
  public:
   std::string Name() const override { return "blocking"; }
@@ -742,8 +828,7 @@ class BlockingEstimator final : public Estimator {
     return {};
   }
 
-  // Unblocks every pinned and future evaluation — lets the admission
-  // and deadline tests pin the pool deterministically, then drain it.
+  // Unblocks every pinned and future evaluation.
   void Release() const {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -758,45 +843,15 @@ class BlockingEstimator final : public Estimator {
   mutable bool released = false;
 };
 
-TEST(QueryServer, ConcurrentSynchronousAnswerBatchDies) {
-  // The framework has no death-test support, so fork: the child must
-  // abort (BETALIKE_CHECK -> SIGABRT) when a second thread calls the
-  // synchronous AnswerBatch while one is in flight.
-  const pid_t pid = fork();
-  ASSERT_TRUE(pid >= 0);
-  if (pid == 0) {
-    // Child. Quiet the expected CHECK message.
-    std::freopen("/dev/null", "w", stderr);
-    auto estimator = std::make_shared<BlockingEstimator>();
-    auto server = QueryServer::Create(estimator, QueryServerOptions());
-    if (!server.ok()) std::_Exit(2);
-    std::vector<ServedRequest> batch(1);
-    std::thread first([&] {
-      (*server)->AnswerBatch(Span<ServedRequest>(batch));
-    });
-    while (!estimator->entered.load()) {
-      std::this_thread::yield();
-    }
-    // The first batch is pinned inside the estimator; this call must
-    // CHECK-fail, which aborts before it could ever race.
-    (*server)->AnswerBatch(Span<ServedRequest>(batch));
-    std::_Exit(3);  // not reached if the guard works
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFSIGNALED(status));
-  EXPECT_EQ(WTERMSIG(status), SIGABRT);
-}
-
 TEST(QueryServer, SubmitBatchLegalWhileSynchronousBatchInFlight) {
-  // The guard is specific to overlapping *synchronous* calls: an async
-  // submission during a synchronous batch must simply queue behind it.
+  // An async submission during an AnswerBatch call is just another
+  // owned job: it queues beside the synchronous one.
   const auto table = UniformWideTable(500, /*seed=*/61);
   const auto estimator = MakeEstimatorOrDie(
       PublishedView::Generalized(ModKPublication(table, 3)));
   QueryServerOptions options;
   options.num_workers = 3;
-  auto server = QueryServer::Create(estimator, options);
+  auto server = EpochServer::Create(0, estimator, options);
   ASSERT_OK(server);
 
   WorkloadOptions workload_options;
@@ -812,7 +867,7 @@ TEST(QueryServer, SubmitBatchLegalWhileSynchronousBatchInFlight) {
     async_future = std::move(*submitted);
   });
   const std::vector<ServedAnswer> sync_answers =
-      (*server)->AnswerBatch(CountRequests(*workload));
+      (*server)->AnswerBatch(CountRequests(*workload)).value();
   submitter.join();
   const std::vector<ServedAnswer> async_answers = async_future.get();
   ASSERT_EQ(async_answers.size(), sync_answers.size());
@@ -837,7 +892,7 @@ TEST(QueryServer, DestructorDrainsQueuedJobs) {
   {
     QueryServerOptions options;
     options.num_workers = 2;
-    auto server = QueryServer::Create(estimator, options);
+    auto server = EpochServer::Create(0, estimator, options);
     ASSERT_OK(server);
     for (int b = 0; b < 8; ++b) {
       auto submitted = (*server)->SubmitBatch(CountRequests(*workload));
@@ -897,7 +952,7 @@ TEST(QueryServer, OutOfDomainGroupValueIsExactZeroSlot) {
   sa_query.sa_hi = 2;
 
   for (const auto& estimator : estimators) {
-    auto server = QueryServer::Create(estimator, QueryServerOptions());
+    auto server = EpochServer::Create(0, estimator, QueryServerOptions());
     ASSERT_OK(server);
     const int32_t domain = estimator->sa_num_values();
     ASSERT_TRUE(domain > 3);
@@ -910,7 +965,7 @@ TEST(QueryServer, OutOfDomainGroupValueIsExactZeroSlot) {
     // An in-domain, in-range slot for contrast: served, not zeroed.
     requests.push_back({query, AggregateKind::kGroupCount, 0});
     const std::vector<ServedAnswer> answers =
-        (*server)->AnswerBatch(Span<ServedRequest>(requests));
+        (*server)->AnswerBatch(requests).value();
     ASSERT_EQ(answers.size(), requests.size());
     for (size_t i = 0; i + 1 < answers.size(); ++i) {
       // The empty-slot bits: estimate 0, interval [0, 0.5] (pure
@@ -936,12 +991,12 @@ TEST(QueryServer, HistogramObserversSafeUnderConcurrentServing) {
       PublishedView::Generalized(ModKPublication(table, 4)));
   QueryServerOptions options;
   options.num_workers = 3;
-  options.chunk_size = 8;
-  auto server = QueryServer::Create(estimator, options);
+  auto server = EpochServer::Create(0, estimator, options);
   ASSERT_OK(server);
+  QueryServer& pool = (*server)->query_server();
 
   WorkloadOptions workload_options;
-  workload_options.num_queries = 40;
+  workload_options.num_queries = 150;  // three chunks per batch
   workload_options.seed = 87;
   auto workload = GenerateWorkload(table->schema(), workload_options);
   ASSERT_OK(workload);
@@ -953,10 +1008,9 @@ TEST(QueryServer, HistogramObserversSafeUnderConcurrentServing) {
     uint64_t spin = 0;
     uint64_t sink = 0;
     while (!done.load()) {
-      sink += (*server)->MergedHistogram().count();
-      sink += (*server)->worker_histogram(1).count();
-      sink += (*server)->BatchHistogram().QuantileNanos(0.5);
-      if (++spin % 16 == 0) (*server)->ResetHistograms();
+      sink += pool.MergedHistogram().count();
+      sink += pool.BatchHistogram().QuantileNanos(0.5);
+      if (++spin % 16 == 0) pool.ResetHistograms();
       std::this_thread::yield();
     }
     // The reads themselves are the test — the race is TSan's to
@@ -969,8 +1023,8 @@ TEST(QueryServer, HistogramObserversSafeUnderConcurrentServing) {
       SubmitOptions submit;
       submit.client_id = static_cast<uint64_t>(c + 1);
       for (int b = 0; b < kBatchesPerClient; ++b) {
-        auto future =
-            (*server)->SubmitBatch(CountRequests(*workload), submit);
+        auto future = (*server)->SubmitBatch(
+            CountRequests(*workload), EpochServer::kLatestEpoch, submit);
         BETALIKE_CHECK(future.ok()) << future.status().ToString();
         future->wait();
       }
@@ -980,15 +1034,15 @@ TEST(QueryServer, HistogramObserversSafeUnderConcurrentServing) {
   done.store(true);
   observer.join();
   // Quiesced: a reset-then-serve round counts exactly once per query.
-  (*server)->ResetHistograms();
-  EXPECT_EQ((*server)->MergedHistogram().count(), 0u);
-  (*server)->AnswerBatch(CountRequests(*workload));
-  EXPECT_EQ((*server)->MergedHistogram().count(), workload->size());
+  pool.ResetHistograms();
+  EXPECT_EQ(pool.MergedHistogram().count(), 0u);
+  ASSERT_OK((*server)->AnswerBatch(CountRequests(*workload)));
+  EXPECT_EQ(pool.MergedHistogram().count(), workload->size());
 }
 
 TEST(QueryServer, DestructorRacingLiveClientsStillDrains) {
   // Shared ownership: each client drops its server reference right
-  // after its last submission, so ~QueryServer runs in whichever
+  // after its last submission, so ~EpochServer runs in whichever
   // thread releases last — while the pool is mid-serving and every
   // future is still outstanding. The drain contract says all of them
   // complete with real answers.
@@ -996,26 +1050,26 @@ TEST(QueryServer, DestructorRacingLiveClientsStillDrains) {
   const auto estimator = MakeEstimatorOrDie(
       PublishedView::Generalized(ModKPublication(table, 3)));
   WorkloadOptions workload_options;
-  workload_options.num_queries = 64;
+  workload_options.num_queries = 150;  // three chunks per batch
   workload_options.seed = 95;
   auto workload = GenerateWorkload(table->schema(), workload_options);
   ASSERT_OK(workload);
   std::vector<ServedAnswer> reference;
   {
     auto reference_server =
-        QueryServer::Create(estimator, QueryServerOptions());
+        EpochServer::Create(0, estimator, QueryServerOptions());
     ASSERT_OK(reference_server);
-    reference = (*reference_server)->AnswerBatch(CountRequests(*workload));
+    reference =
+        (*reference_server)->AnswerBatch(CountRequests(*workload)).value();
   }
 
   constexpr int kClients = 4;
   constexpr int kBatchesPerClient = 5;
   QueryServerOptions options;
   options.num_workers = 2;
-  options.chunk_size = 8;
-  auto created = QueryServer::Create(estimator, options);
+  auto created = EpochServer::Create(0, estimator, options);
   ASSERT_OK(created);
-  std::shared_ptr<QueryServer> server = std::move(*created);
+  std::shared_ptr<EpochServer> server = std::move(*created);
   std::mutex futures_mu;
   std::vector<std::future<std::vector<ServedAnswer>>> futures;
   std::vector<std::thread> clients;
@@ -1024,8 +1078,8 @@ TEST(QueryServer, DestructorRacingLiveClientsStillDrains) {
       SubmitOptions submit;
       submit.client_id = static_cast<uint64_t>(c);
       for (int b = 0; b < kBatchesPerClient; ++b) {
-        auto submitted =
-            server->SubmitBatch(CountRequests(*workload), submit);
+        auto submitted = server->SubmitBatch(
+            CountRequests(*workload), EpochServer::kLatestEpoch, submit);
         BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
         std::lock_guard<std::mutex> lock(futures_mu);
         futures.push_back(std::move(*submitted));
@@ -1046,23 +1100,26 @@ TEST(QueryServer, DestructorRacingLiveClientsStillDrains) {
 }
 
 TEST(QueryServer, RejectPolicyShedsOverflowWithoutQueueGrowth) {
+  // The cap is two chunks, so the admitted batch is split across both
+  // pool workers.
+  constexpr size_t kCap = 2 * QueryServer::kChunkSize;
   auto estimator = std::make_shared<BlockingEstimator>();
   QueryServerOptions options;
   options.num_workers = 3;
-  options.chunk_size = 2;
-  options.max_queued_requests = 4;
+  options.max_queued_requests = kCap;
   options.admission_policy = AdmissionPolicy::kReject;
-  auto server = QueryServer::Create(estimator, options);
+  auto server = EpochServer::Create(0, estimator, options);
   ASSERT_OK(server);
+  const QueryServer& pool = (*server)->query_server();
 
-  std::vector<ServedRequest> four(4);
-  std::vector<ServedRequest> one(1);
-  auto admitted = (*server)->SubmitBatch(four);
+  const std::vector<ServedRequest> full(kCap);
+  const std::vector<ServedRequest> one(1);
+  auto admitted = (*server)->SubmitBatch(full);
   ASSERT_OK(admitted);
   // Pin the pool inside the estimator so the queue is demonstrably
   // held at the cap.
   while (!estimator->entered.load()) std::this_thread::yield();
-  EXPECT_EQ((*server)->queued_requests(), 4u);
+  EXPECT_EQ(pool.queued_requests(), kCap);
 
   // No headroom: the overflow submission is shed, not queued. The
   // error contract is "status instead of future" — never a future
@@ -1070,35 +1127,35 @@ TEST(QueryServer, RejectPolicyShedsOverflowWithoutQueueGrowth) {
   auto shed = (*server)->SubmitBatch(one);
   ASSERT_FALSE(shed.ok());
   EXPECT_TRUE(shed.status().code() == StatusCode::kResourceExhausted);
-  EXPECT_EQ((*server)->queued_requests(), 4u);
+  EXPECT_EQ(pool.queued_requests(), kCap);
 
   estimator->Release();
-  EXPECT_EQ(admitted->get().size(), 4u);
-  EXPECT_EQ((*server)->queued_requests(), 0u);
+  EXPECT_EQ(admitted->get().size(), kCap);
+  EXPECT_EQ(pool.queued_requests(), 0u);
 
   // A batch larger than the cap is always shed under kReject, even
   // with an empty queue; with room, admission resumes.
-  std::vector<ServedRequest> six(6);
-  auto oversized = (*server)->SubmitBatch(six);
-  ASSERT_FALSE(oversized.ok());
-  EXPECT_TRUE(oversized.status().code() == StatusCode::kResourceExhausted);
+  const std::vector<ServedRequest> oversized(kCap + 2);
+  auto rejected = (*server)->SubmitBatch(oversized);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().code() == StatusCode::kResourceExhausted);
   auto after = (*server)->SubmitBatch(one);
   ASSERT_OK(after);
   EXPECT_EQ(after->get().size(), 1u);
 }
 
 TEST(QueryServer, BlockPolicyWaitsForRoomAndAdmitsOversizedAlone) {
+  constexpr size_t kCap = 2 * QueryServer::kChunkSize;
   auto estimator = std::make_shared<BlockingEstimator>();
   QueryServerOptions options;
   options.num_workers = 2;
-  options.chunk_size = 4;
-  options.max_queued_requests = 4;
+  options.max_queued_requests = kCap;
   options.admission_policy = AdmissionPolicy::kBlock;
-  auto server = QueryServer::Create(estimator, options);
+  auto server = EpochServer::Create(0, estimator, options);
   ASSERT_OK(server);
 
-  std::vector<ServedRequest> four(4);
-  auto first = (*server)->SubmitBatch(four);
+  const std::vector<ServedRequest> full(kCap);
+  auto first = (*server)->SubmitBatch(full);
   ASSERT_OK(first);
   while (!estimator->entered.load()) std::this_thread::yield();
 
@@ -1107,7 +1164,7 @@ TEST(QueryServer, BlockPolicyWaitsForRoomAndAdmitsOversizedAlone) {
   std::atomic<bool> second_submitted{false};
   std::future<std::vector<ServedAnswer>> second;
   std::thread submitter([&] {
-    auto submitted = (*server)->SubmitBatch(four);
+    auto submitted = (*server)->SubmitBatch(full);
     BETALIKE_CHECK(submitted.ok()) << submitted.status().ToString();
     second = std::move(*submitted);
     second_submitted.store(true);
@@ -1118,40 +1175,59 @@ TEST(QueryServer, BlockPolicyWaitsForRoomAndAdmitsOversizedAlone) {
   EXPECT_FALSE(second_submitted.load());
   estimator->Release();
   submitter.join();
-  EXPECT_EQ(first->get().size(), 4u);
-  EXPECT_EQ(second.get().size(), 4u);
+  EXPECT_EQ(first->get().size(), kCap);
+  EXPECT_EQ(second.get().size(), kCap);
 
   // Oversized batch under kBlock: admitted alone once the queue is
-  // empty instead of deadlocking.
-  std::vector<ServedRequest> six(6);
-  auto oversized = (*server)->SubmitBatch(six);
-  ASSERT_OK(oversized);
-  EXPECT_EQ(oversized->get().size(), 6u);
+  // empty instead of deadlocking — through either entry point.
+  const std::vector<ServedRequest> oversized(kCap + 2);
+  auto submitted = (*server)->SubmitBatch(oversized);
+  ASSERT_OK(submitted);
+  EXPECT_EQ(submitted->get().size(), kCap + 2);
+  auto answered = (*server)->AnswerBatch(oversized);
+  ASSERT_OK(answered);
+  EXPECT_EQ(answered->size(), kCap + 2);
 }
 
-TEST(QueryServer, SynchronousPathExemptFromAdmission) {
+TEST(QueryServer, OverCapBatchShedIdenticallyByBothEntryPoints) {
+  // One admission rule: AnswerBatch is admitted exactly like
+  // SubmitBatch (it used to bypass the cap), at every worker count —
+  // the poolless server included.
   const auto table = UniformWideTable(300, /*seed=*/107);
   const auto estimator = MakeEstimatorOrDie(
       PublishedView::Generalized(ModKPublication(table, 2)));
-  QueryServerOptions options;
-  options.num_workers = 2;
-  options.max_queued_requests = 1;
-  options.admission_policy = AdmissionPolicy::kReject;
-  auto server = QueryServer::Create(estimator, options);
-  ASSERT_OK(server);
-
   WorkloadOptions workload_options;
   workload_options.num_queries = 20;
   workload_options.seed = 109;
   auto workload = GenerateWorkload(table->schema(), workload_options);
   ASSERT_OK(workload);
-  // 20 requests against a cap of 1: the async path always sheds, the
-  // synchronous path (its caller is its own back-pressure) serves.
-  EXPECT_EQ((*server)->AnswerBatch(CountRequests(*workload)).size(),
-            workload->size());
-  auto rejected = (*server)->SubmitBatch(CountRequests(*workload));
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().code() == StatusCode::kResourceExhausted);
+  const std::vector<ServedRequest> requests = CountRequests(*workload);
+
+  for (int workers : {1, 2, 4}) {
+    QueryServerOptions options;
+    options.num_workers = workers;
+    options.max_queued_requests = 1;
+    options.admission_policy = AdmissionPolicy::kReject;
+    auto server = EpochServer::Create(0, estimator, options);
+    ASSERT_OK(server);
+    // 20 requests against a cap of 1: shed by both, with one status.
+    auto submitted = (*server)->SubmitBatch(requests);
+    auto answered = (*server)->AnswerBatch(requests);
+    ASSERT_FALSE(submitted.ok());
+    ASSERT_FALSE(answered.ok());
+    EXPECT_TRUE(submitted.status().code() == StatusCode::kResourceExhausted);
+    EXPECT_TRUE(answered.status().code() == StatusCode::kResourceExhausted);
+    // A batch within the cap is served by both.
+    const std::vector<ServedRequest> one(requests.begin(),
+                                         requests.begin() + 1);
+    auto fits = (*server)->SubmitBatch(one);
+    ASSERT_OK(fits);
+    EXPECT_EQ(fits->get().size(), 1u);
+    auto fits_answered = (*server)->AnswerBatch(one);
+    ASSERT_OK(fits_answered);
+    EXPECT_EQ(fits_answered->size(), 1u);
+    EXPECT_EQ((*server)->query_server().queued_requests(), 0u);
+  }
 }
 
 TEST(QueryServer, ExpiredAtSubmissionRejectedIdenticallyAcrossWorkerCounts) {
@@ -1170,42 +1246,40 @@ TEST(QueryServer, ExpiredAtSubmissionRejectedIdenticallyAcrossWorkerCounts) {
   for (int workers : {1, 2, 4}) {
     QueryServerOptions options;
     options.num_workers = workers;
-    auto server = QueryServer::Create(estimator, options);
+    auto server = EpochServer::Create(0, estimator, options);
     ASSERT_OK(server);
     // The deadline is checked before any admission or work, so the
-    // rejection is identical whether or not a pool exists.
-    auto submitted = (*server)->SubmitBatch(CountRequests(*workload), expired);
+    // rejection is identical whether or not a pool exists — and from
+    // either entry point (AnswerBatch used to answer placeholders).
+    auto submitted = (*server)->SubmitBatch(CountRequests(*workload),
+                                            EpochServer::kLatestEpoch, expired);
+    auto answered = (*server)->AnswerBatch(CountRequests(*workload),
+                                           EpochServer::kLatestEpoch, expired);
     ASSERT_FALSE(submitted.ok());
+    ASSERT_FALSE(answered.ok());
     EXPECT_TRUE(submitted.status().code() == StatusCode::kDeadlineExceeded);
-    // The synchronous path cannot return a status: every answer is the
-    // kDeadlineExceeded placeholder instead.
-    const std::vector<ServedAnswer> answers =
-        (*server)->AnswerBatch(CountRequests(*workload), expired);
-    ASSERT_EQ(answers.size(), workload->size());
-    for (const ServedAnswer& answer : answers) {
-      EXPECT_TRUE(answer.status == AnswerStatus::kDeadlineExceeded);
-      EXPECT_EQ(answer.estimate, 0.0);
-      EXPECT_EQ(answer.ci_hi, 0.0);
-    }
+    EXPECT_TRUE(answered.status().code() == StatusCode::kDeadlineExceeded);
     // The server serves normally afterwards.
-    EXPECT_EQ((*server)->AnswerBatch(CountRequests(*workload)).size(),
-            workload->size());
+    auto served = (*server)->AnswerBatch(CountRequests(*workload));
+    ASSERT_OK(served);
+    EXPECT_EQ(served->size(), workload->size());
   }
 }
 
 TEST(QueryServer, MidFlightExpiryShedsAChunkAlignedSuffix) {
+  constexpr size_t kChunk = QueryServer::kChunkSize;
   auto estimator = std::make_shared<BlockingEstimator>();
   QueryServerOptions options;
   options.num_workers = 2;  // exactly one pool thread
-  options.chunk_size = 4;
-  auto server = QueryServer::Create(estimator, options);
+  auto server = EpochServer::Create(0, estimator, options);
   ASSERT_OK(server);
 
   SubmitOptions submit;
   submit.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-  std::vector<ServedRequest> batch(16);
-  auto submitted = (*server)->SubmitBatch(batch, submit);
+  const std::vector<ServedRequest> batch(4 * kChunk);
+  auto submitted =
+      (*server)->SubmitBatch(batch, EpochServer::kLatestEpoch, submit);
   ASSERT_OK(submitted);
   // Wait for the worker to pin inside a claimed chunk — or, on a very
   // slow machine, for the whole batch to expire before the first
@@ -1229,11 +1303,11 @@ TEST(QueryServer, MidFlightExpiryShedsAChunkAlignedSuffix) {
       break;
     }
   }
-  // One pool worker at chunk 4: at most one chunk computed before the
-  // lapse, and the shed answers are a chunk-aligned suffix — expiry
-  // never punches holes.
-  EXPECT_LE(cut, 4u);
-  EXPECT_TRUE(cut % 4 == 0);
+  // One pool worker: at most one chunk computed before the lapse, and
+  // the shed answers are a chunk-aligned suffix — expiry never punches
+  // holes.
+  EXPECT_LE(cut, kChunk);
+  EXPECT_TRUE(cut % kChunk == 0);
   for (size_t i = 0; i < answers.size(); ++i) {
     const bool should_be_expired = i >= cut;
     EXPECT_TRUE((answers[i].status == AnswerStatus::kDeadlineExceeded) ==
