@@ -129,16 +129,19 @@ Result<GeneralizedTable> AnonymizeWithAnatomy(
 
 AnatomizedTable AnatomizedTable::FromGrouping(
     const GeneralizedTable& grouped) {
-  AnatomizedTable out{EcSaIndex(grouped)};
+  const Table& source = grouped.source();
+  AnatomizedTable out;
   out.source_ = grouped.shared_source();
-  out.group_of_row_.assign(grouped.source().num_rows(), 0);
-  out.group_sizes_.reserve(grouped.num_ecs());
+  out.group_of_row_.assign(source.num_rows(), 0);
+  out.group_offsets_.reserve(grouped.num_ecs() + 1);
+  out.group_offsets_.push_back(0);
+  out.group_sa_.reserve(source.num_rows());
   for (size_t g = 0; g < grouped.num_ecs(); ++g) {
-    const EquivalenceClass& ec = grouped.ec(g);
-    out.group_sizes_.push_back(ec.size());
-    for (int64_t row : ec.rows) {
+    for (int64_t row : grouped.ec(g).rows) {
       out.group_of_row_[row] = static_cast<int32_t>(g);
+      out.group_sa_.push_back(source.sa_value(row));
     }
+    out.group_offsets_.push_back(static_cast<int64_t>(out.group_sa_.size()));
   }
   return out;
 }

@@ -3,7 +3,8 @@
 // tuples are partitioned into groups of >= l distinct SA values (each
 // value at most once per group), and the publication is two separate
 // tables — a quasi-identifier table QIT (every tuple's exact QI values
-// plus its group id) and a sensitive table ST (per-group SA histogram).
+// plus its group id) and a sensitive table ST (the SA values of each
+// group, at most one entry per tuple).
 // The QI-SA linkage inside a group is what the recipient loses.
 //
 // Group formation is the paper's algorithm: hash tuples into per-value
@@ -17,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -46,45 +46,61 @@ Status ValidateAnatomyOptions(const AnatomyOptions& options);
 Result<GeneralizedTable> AnonymizeWithAnatomy(
     std::shared_ptr<const Table> table, const AnatomyOptions& options);
 
+// Count, Σ v and Σ v² of the SA values v of one group that lie in a
+// range: the ST moments the Anatomy estimators spread across the
+// group's rows.
+struct SaMoments {
+  int64_t count = 0;
+  int64_t sum = 0;
+  int64_t square_sum = 0;
+};
+
 // The separate-table publication built from any group partition: QIT
 // (exact QI values + group id per row, via source() and group_of_row)
-// and ST (per-group SA histograms — a data/EcSaIndex over the groups,
-// giving O(1) range counts). This is the view the Figure 9 estimator
-// answers from.
+// and ST (the multiset of SA values of each group, stored as one CSR
+// array — the group's entries are contiguous — so the ST costs 4 B per
+// row plus 8 B per group, like Anatomy's own one-row-per-(group, value)
+// table). This is the view the Figure 9 estimator answers from.
 class AnatomizedTable {
  public:
+  // Accepts any partition of the source rows, including groups that
+  // repeat an SA value.
   static AnatomizedTable FromGrouping(const GeneralizedTable& grouped);
 
   const Table& source() const { return *source_; }
   int64_t num_rows() const { return source_->num_rows(); }
-  size_t num_groups() const { return group_sizes_.size(); }
+  size_t num_groups() const { return group_offsets_.size() - 1; }
   int32_t group_of_row(int64_t row) const { return group_of_row_[row]; }
-  int64_t group_size(size_t group) const { return group_sizes_[group]; }
-
-  // Tuples of `group` whose SA value lies in [sa_lo, sa_hi]
-  // (inclusive; the range is clamped to the SA domain).
-  int64_t GroupSaCount(size_t group, int32_t sa_lo, int32_t sa_hi) const {
-    return st_.Count(group, sa_lo, sa_hi);
+  int64_t group_size(size_t group) const {
+    return group_offsets_[group + 1] - group_offsets_[group];
   }
 
-  // Σ v (resp. Σ v²) over the tuples of `group` with SA value v in
-  // [sa_lo, sa_hi] — the ST histogram moments the SUM/AVG estimators
-  // spread across a group's rows.
-  int64_t GroupSaValueSum(size_t group, int32_t sa_lo, int32_t sa_hi) const {
-    return st_.ValueSum(group, sa_lo, sa_hi);
-  }
-  int64_t GroupSaValueSquareSum(size_t group, int32_t sa_lo,
-                                int32_t sa_hi) const {
-    return st_.ValueSquareSum(group, sa_lo, sa_hi);
+  // The moments of `group`'s SA values in [sa_lo, sa_hi], in one pass
+  // over the group's ST entries. Inclusive; a range outside the SA
+  // domain or an inverted one (sa_lo > sa_hi) selects nothing.
+  SaMoments GroupSaMoments(size_t group, int32_t sa_lo, int32_t sa_hi) const {
+    SaMoments out;
+    const int32_t* begin = group_sa_.data() + group_offsets_[group];
+    const int32_t* end = group_sa_.data() + group_offsets_[group + 1];
+    for (const int32_t* it = begin; it != end; ++it) {
+      const int64_t v = *it;
+      const int64_t in = (v >= sa_lo) & (v <= sa_hi);
+      out.count += in;
+      out.sum += in * v;
+      out.square_sum += in * v * v;
+    }
+    return out;
   }
 
  private:
-  explicit AnatomizedTable(EcSaIndex st) : st_(std::move(st)) {}
+  AnatomizedTable() = default;
 
   std::shared_ptr<const Table> source_;
   std::vector<int32_t> group_of_row_;
-  std::vector<int64_t> group_sizes_;
-  EcSaIndex st_;
+  // Group g's SA values are group_sa_[group_offsets_[g],
+  // group_offsets_[g + 1]).
+  std::vector<int64_t> group_offsets_;
+  std::vector<int32_t> group_sa_;
 };
 
 }  // namespace betalike

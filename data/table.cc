@@ -185,18 +185,15 @@ EcSaIndex::EcSaIndex(const GeneralizedTable& published) {
   const size_t stride = static_cast<size_t>(num_values_) + 1;
   prefix_.assign(published.num_ecs() * stride, 0);
   weighted_prefix_.assign(published.num_ecs() * stride, 0);
-  squared_prefix_.assign(published.num_ecs() * stride, 0);
   for (size_t e = 0; e < published.num_ecs(); ++e) {
     int64_t* prefix = prefix_.data() + e * stride;
     int64_t* weighted = weighted_prefix_.data() + e * stride;
-    int64_t* squared = squared_prefix_.data() + e * stride;
     for (int64_t row : published.ec(e).rows) {
       ++prefix[source.sa_value(row) + 1];
     }
     for (int32_t v = 0; v < num_values_; ++v) {
       const int64_t count = prefix[v + 1];
       weighted[v + 1] = weighted[v] + count * v;
-      squared[v + 1] = squared[v] + count * v * v;
       prefix[v + 1] += prefix[v];
     }
   }
@@ -218,15 +215,6 @@ int64_t EcSaIndex::ValueSum(size_t ec, int32_t lo, int32_t hi) const {
   const int64_t* weighted =
       weighted_prefix_.data() + ec * (static_cast<size_t>(num_values_) + 1);
   return weighted[hi + 1] - weighted[lo];
-}
-
-int64_t EcSaIndex::ValueSquareSum(size_t ec, int32_t lo, int32_t hi) const {
-  lo = std::max(lo, 0);
-  hi = std::min(hi, num_values_ - 1);
-  if (lo > hi) return 0;
-  const int64_t* squared =
-      squared_prefix_.data() + ec * (static_cast<size_t>(num_values_) + 1);
-  return squared[hi + 1] - squared[lo];
 }
 
 }  // namespace betalike

@@ -145,11 +145,11 @@ class GeneralizedTable {
 
 // Prefix-summed per-equivalence-class SA histograms of a publication,
 // built once so every (class, SA range) lookup is O(1). Shared by the
-// query estimators (uniform-spread and reconstruction paths) and by
-// Anatomy's separate-table view; holds copied counts only, so it stays
-// valid independently of the indexed publication's lifetime. Besides
-// plain counts it carries value-weighted (Σ v·count) and value-squared
-// (Σ v²·count) prefixes, the moments the SUM/AVG estimators need.
+// generalized and perturbed query estimators and by the §7 attacks;
+// holds copied counts only, so it stays valid independently of the
+// indexed publication's lifetime. Besides plain counts it carries
+// value-weighted (Σ v·count) prefixes, the moment the SUM estimator
+// needs.
 class EcSaIndex {
  public:
   explicit EcSaIndex(const GeneralizedTable& published);
@@ -162,15 +162,10 @@ class EcSaIndex {
   // the exact SUM(SA) of the class restricted to the range.
   int64_t ValueSum(size_t ec, int32_t lo, int32_t hi) const;
 
-  // Σ v² over the same tuples; with ValueSum this gives the second
-  // moment the AVG/SUM variance models need.
-  int64_t ValueSquareSum(size_t ec, int32_t lo, int32_t hi) const;
-
  private:
   int32_t num_values_ = 0;
   std::vector<int64_t> prefix_;           // counts
   std::vector<int64_t> weighted_prefix_;  // Σ v·count
-  std::vector<int64_t> squared_prefix_;   // Σ v²·count
 };
 
 }  // namespace betalike

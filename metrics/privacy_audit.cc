@@ -9,20 +9,22 @@
 namespace betalike {
 namespace {
 
-std::vector<int64_t> EcCounts(const GeneralizedTable& published,
-                              const EquivalenceClass& ec) {
-  std::vector<int64_t> counts(published.source().sa_spec().num_values, 0);
-  for (int64_t row : ec.rows) ++counts[published.source().sa_value(row)];
-  return counts;
+// Refills `counts` (one slot per SA value) with the SA histogram of
+// `ec`, so a pass over the classes reuses one buffer.
+void FillEcCounts(const Table& source, const EquivalenceClass& ec,
+                  std::vector<int64_t>* counts) {
+  counts->assign(static_cast<size_t>(source.sa_spec().num_values), 0);
+  for (int64_t row : ec.rows) ++(*counts)[source.sa_value(row)];
 }
 
 }  // namespace
 
 double MeasuredBeta(const GeneralizedTable& published) {
   const std::vector<double> freqs = published.source().SaFrequencies();
+  std::vector<int64_t> counts;
   double worst = 0.0;
   for (const EquivalenceClass& ec : published.ecs()) {
-    const std::vector<int64_t> counts = EcCounts(published, ec);
+    FillEcCounts(published.source(), ec, &counts);
     const double n = static_cast<double>(ec.size());
     for (size_t v = 0; v < counts.size(); ++v) {
       if (counts[v] == 0 || freqs[v] <= 0.0) continue;
@@ -35,9 +37,10 @@ double MeasuredBeta(const GeneralizedTable& published) {
 
 double MeasuredCloseness(const GeneralizedTable& published) {
   const std::vector<double> freqs = published.source().SaFrequencies();
+  std::vector<int64_t> counts;
   double worst = 0.0;
   for (const EquivalenceClass& ec : published.ecs()) {
-    const std::vector<int64_t> counts = EcCounts(published, ec);
+    FillEcCounts(published.source(), ec, &counts);
     const double n = static_cast<double>(ec.size());
     double distance = 0.0;
     for (size_t v = 0; v < counts.size(); ++v) {
@@ -53,7 +56,7 @@ PrivacyAudit AuditPrivacy(const GeneralizedTable& published) {
       << "AuditPrivacy on a publication with no equivalence classes";
   const std::vector<double> freqs = published.source().SaFrequencies();
   const int32_t num_values = published.source().sa_spec().num_values;
-  const EcSaIndex index(published);
+  std::vector<int64_t> counts;
 
   PrivacyAudit audit;
   audit.min_diversity = num_values + 1;  // lowered by the first class
@@ -61,13 +64,14 @@ PrivacyAudit AuditPrivacy(const GeneralizedTable& published) {
   double sum_closeness = 0.0;
   double sum_diversity = 0.0;
   double sum_entropy_l = 0.0;
-  for (size_t e = 0; e < published.num_ecs(); ++e) {
-    const double n = static_cast<double>(published.ec(e).size());
+  for (const EquivalenceClass& ec : published.ecs()) {
+    FillEcCounts(published.source(), ec, &counts);
+    const double n = static_cast<double>(ec.size());
     double distance = 0.0;
     double entropy = 0.0;
     int distinct = 0;
     for (int32_t v = 0; v < num_values; ++v) {
-      const int64_t count = index.Count(e, v, v);
+      const int64_t count = counts[v];
       // The closeness term replicates MeasuredCloseness verbatim
       // (count 0 contributes |0 - p_v|), the beta term MeasuredBeta
       // (count 0 skipped), so the worst-EC fields compare equal.

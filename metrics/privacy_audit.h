@@ -34,10 +34,11 @@ struct PrivacyAudit {
   double max_beta = 0.0;       // real β == MeasuredBeta
 };
 
-// Computes every audit field in one pass over a prefix-summed per-EC
-// SA histogram (EcSaIndex). The max_beta / max_closeness fields use
-// the exact arithmetic of MeasuredBeta / MeasuredCloseness, in the
-// same order, so they compare equal (==) to those metrics.
+// Computes every audit field in one pass over the classes, recounting
+// each class's SA histogram into one reused buffer. The max_beta /
+// max_closeness fields use the exact arithmetic of MeasuredBeta /
+// MeasuredCloseness, in the same order, so they compare equal (==) to
+// those metrics.
 // CHECK-fails on a publication with no equivalence classes.
 PrivacyAudit AuditPrivacy(const GeneralizedTable& published);
 

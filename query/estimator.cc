@@ -223,7 +223,7 @@ class GeneralizedEstimator final : public Estimator {
   int32_t num_values_;
 };
 
-// Exact QI values, group-level SA histograms: rows matching the QI
+// Exact QI values, group-level SA values: rows matching the QI
 // predicates are selected exactly (the QIT publishes exact values) and
 // each contributes its group's share of the SA predicate.
 class AnatomizedEstimator final : public Estimator {
@@ -247,14 +247,16 @@ class AnatomizedEstimator final : public Estimator {
       const AggregateQuery& query) const override {
     const AnatomizedTable& view = *view_;
     if (!query.has_sa_predicate()) {
+      // Below 2^53 rows the count is exactly the Σ 1.0 of a row visit.
       EstimateWithVariance out;
-      ForEachMatchingRow(view.num_rows(), QiRanges(query),
-                         [&out](int64_t) { out.estimate += 1.0; });
+      out.estimate = static_cast<double>(
+          CountMatchingRows(view.num_rows(), QiRanges(query)));
       return out;
     }
     return SumOverMatchingRows(query, [&](size_t g) {
       const double fraction =
-          static_cast<double>(view.GroupSaCount(g, query.sa_lo, query.sa_hi)) /
+          static_cast<double>(
+              view.GroupSaMoments(g, query.sa_lo, query.sa_hi).count) /
           static_cast<double>(view.group_size(g));
       return EstimateWithVariance{fraction, fraction * (1.0 - fraction)};
     });
@@ -275,11 +277,10 @@ class AnatomizedEstimator final : public Estimator {
       hi = query.sa_hi;
     }
     return SumOverMatchingRows(query, [&](size_t g) {
+      const SaMoments moments = view.GroupSaMoments(g, lo, hi);
       const double inv = 1.0 / static_cast<double>(view.group_size(g));
-      const double mean =
-          static_cast<double>(view.GroupSaValueSum(g, lo, hi)) * inv;
-      const double second =
-          static_cast<double>(view.GroupSaValueSquareSum(g, lo, hi)) * inv;
+      const double mean = static_cast<double>(moments.sum) * inv;
+      const double second = static_cast<double>(moments.square_sum) * inv;
       // Non-negative mathematically; the max guards FP rounding only.
       return EstimateWithVariance{mean, std::max(0.0, second - mean * mean)};
     });
@@ -288,7 +289,7 @@ class AnatomizedEstimator final : public Estimator {
  private:
   // The query's QI predicates as kernel ranges. The SA column is what
   // Anatomy withholds per row, so an SA predicate acts only through the
-  // group histograms.
+  // groups' ST entries.
   std::vector<ColumnRange> QiRanges(const AggregateQuery& query) const {
     return QueryRanges(view_->source(), query, /*with_sa=*/false);
   }

@@ -7,8 +7,11 @@
 //     class answers with its matching-SA tuple count times the
 //     fraction of its QI box the query covers — the standard
 //     uniform-spread assumption (Figure 8's estimator, now SA-aware).
-//   - Anatomy: exact QI values, group-level SA histograms — matching
-//     rows contribute their group's matching-SA fraction (Figure 9).
+//   - Anatomy: exact QI values, each group's SA values — matching rows
+//     contribute their group's matching-SA fraction, read from the
+//     compact ST (AnatomizedTable::GroupSaMoments) once per group per
+//     query; a COUNT without an SA predicate is the exact matching-row
+//     count (Figure 9).
 //   - Perturbed publications: uniform spread over the boxes plus
 //     reconstruction — the randomized response is inverted in
 //     expectation before counting (Figure 9).
@@ -20,10 +23,10 @@
 // precomputed once, so one instance can answer queries from many
 // threads concurrently (the serve/ layer relies on this). Two
 // operations do all the work: the row-selection kernel
-// (query/row_filter.h) picks the raw rows matching a query's ranges
-// for Anatomy and the Precise* ground truth, and one box index visits
-// the equivalence classes overlapping a query for the generalized and
-// perturbed shapes.
+// (query/row_filter.h) visits or counts the raw rows matching a
+// query's ranges for Anatomy and the Precise* ground truth, and one
+// box index visits the equivalence classes overlapping a query for the
+// generalized and perturbed shapes.
 //
 // Workload-level accuracy is aggregated as median relative error, the
 // paper's Figures 8/9 metric.

@@ -1,14 +1,17 @@
 // The row-selection kernel of the query layer (internal header): every
 // consumer that asks "which raw rows satisfy these range predicates" —
 // the Precise* ground truth and the Anatomy estimator — runs through
-// ForEachMatchingRow, so there is exactly one row-predicate loop.
+// BuildRowMask, so there is exactly one row-predicate loop.
 //
 // Rows are filtered in fixed blocks: one branch-free pass per range
 // predicate AND-s a byte mask (GCC auto-vectorizes these passes, the
-// discipline of the formation kernels), then the selected rows of the
-// block are visited in ascending order. Visiting in row order keeps
-// every caller's floating-point accumulation order, so answers are
-// bitwise those of a plain row-at-a-time scan.
+// discipline of the formation kernels). ForEachMatchingRow then visits
+// the selected rows of the block in ascending order, reading the mask
+// eight bytes at a time and jumping from one set byte to the next with
+// a count-trailing-zeros, so unselected rows cost no branch. Visiting
+// in row order keeps every caller's floating-point accumulation order,
+// so answers are bitwise those of a plain row-at-a-time scan.
+// CountMatchingRows sums the mask instead and visits nothing.
 #ifndef BETALIKE_QUERY_ROW_FILTER_H_
 #define BETALIKE_QUERY_ROW_FILTER_H_
 
@@ -53,36 +56,61 @@ inline std::vector<ColumnRange> QueryRanges(const Table& table,
   return ranges;
 }
 
+// Sets mask[i] to 1 if row `base + i` satisfies all `ranges` and to 0
+// otherwise, for i in [0, len); len <= kRowBlock.
+inline void BuildRowMask(int64_t base, int64_t len, Span<ColumnRange> ranges,
+                         uint8_t* mask) {
+  std::memset(mask, 1, static_cast<size_t>(len));
+  for (const ColumnRange& r : ranges) {
+    const int32_t* column = r.column + base;
+    const int32_t lo = r.lo;
+    const int32_t hi = r.hi;
+    for (int64_t i = 0; i < len; ++i) {
+      mask[i] &= static_cast<uint8_t>((column[i] >= lo) & (column[i] <= hi));
+    }
+  }
+}
+
 // Calls visit(row) for every row in [0, n) that satisfies all
 // `ranges`, in ascending row order. With no ranges every row matches.
 template <typename Visit>
 void ForEachMatchingRow(int64_t n, Span<ColumnRange> ranges, Visit&& visit) {
+  static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                "the mask walk reads byte i of a word as its bits 8i..8i+7");
   alignas(64) uint8_t mask[kRowBlock];
   for (int64_t base = 0; base < n; base += kRowBlock) {
     const int64_t len = std::min(kRowBlock, n - base);
-    std::memset(mask, 1, static_cast<size_t>(len));
-    for (const ColumnRange& r : ranges) {
-      const int32_t* column = r.column + base;
-      const int32_t lo = r.lo;
-      const int32_t hi = r.hi;
-      for (int64_t i = 0; i < len; ++i) {
-        mask[i] &= static_cast<uint8_t>((column[i] >= lo) & (column[i] <= hi));
-      }
-    }
-    // Skip unselected rows eight mask bytes at a time.
-    int64_t i = 0;
-    for (; i + 8 <= len; i += 8) {
+    BuildRowMask(base, len, ranges, mask);
+    // Zero-pad a short last block to whole words.
+    const int64_t padded = (len + 7) & ~int64_t{7};
+    std::memset(mask + len, 0, static_cast<size_t>(padded - len));
+    // Every mask byte is 0 or 1, so a set byte j of a word is its bit
+    // 8j: ctz / 8 finds the lowest selected row, and word &= word - 1
+    // clears it.
+    for (int64_t i = 0; i < padded; i += 8) {
       uint64_t word;
       std::memcpy(&word, mask + i, sizeof word);
-      if (word == 0) continue;
-      for (int64_t j = i; j < i + 8; ++j) {
-        if (mask[j] != 0) visit(base + j);
+      while (word != 0) {
+        visit(base + i + (__builtin_ctzll(word) >> 3));
+        word &= word - 1;
       }
     }
-    for (; i < len; ++i) {
-      if (mask[i] != 0) visit(base + i);
-    }
   }
+}
+
+// The number of rows in [0, n) that satisfy all `ranges`: the count of
+// ForEachMatchingRow's visits, without visiting.
+inline int64_t CountMatchingRows(int64_t n, Span<ColumnRange> ranges) {
+  alignas(64) uint8_t mask[kRowBlock];
+  int64_t count = 0;
+  for (int64_t base = 0; base < n; base += kRowBlock) {
+    const int64_t len = std::min(kRowBlock, n - base);
+    BuildRowMask(base, len, ranges, mask);
+    uint32_t block = 0;  // at most kRowBlock
+    for (int64_t i = 0; i < len; ++i) block += mask[i];
+    count += block;
+  }
+  return count;
 }
 
 }  // namespace betalike

@@ -168,11 +168,8 @@ std::vector<int64_t> PreciseCounts(
   std::vector<int64_t> counts;
   counts.reserve(workload.size());
   for (const AggregateQuery& query : workload) {
-    int64_t count = 0;
-    ForEachMatchingRow(table.num_rows(),
-                       QueryRanges(table, query, /*with_sa=*/true),
-                       [&count](int64_t) { ++count; });
-    counts.push_back(count);
+    counts.push_back(CountMatchingRows(
+        table.num_rows(), QueryRanges(table, query, /*with_sa=*/true)));
   }
   return counts;
 }

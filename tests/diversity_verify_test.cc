@@ -5,9 +5,10 @@
 // least l distinct values per group, each value at most once per group
 // (so no value exceeds a 1/l share). Run over randomized tables, where
 // ineligible draws must fail with the matching precondition, and over
-// the CENSUS sample; the separate-table view's histograms are
-// cross-checked against the same recount.
+// the CENSUS sample; the separate-table view's per-group SA moments
+// are cross-checked against the same recount.
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -182,8 +183,66 @@ TEST(NaiveDiversityVerify, RejectsHandBuiltViolations) {
   EXPECT_FALSE(NaiveVerify(*shallow, 3).satisfies);
 }
 
-// The separate-table view must agree with a row-by-row recount: group
-// ids cover the partition and the ST histograms match.
+// Checks the separate-table view of `grouped` against a row-by-row
+// recount: group ids and sizes cover the partition, and GroupSaMoments
+// gives the recounted count, Σ v and Σ v² of every group for every
+// [lo, hi] with both bounds in [-2, V + 1] or at an int32 extreme,
+// inverted and out-of-domain ranges included. Returns whether some
+// group repeats an SA value.
+bool ExpectViewMatchesRecount(const GeneralizedTable& grouped) {
+  const Table& source = grouped.source();
+  const int32_t num_values = source.sa_spec().num_values;
+  std::vector<int32_t> bounds = {std::numeric_limits<int32_t>::min()};
+  for (int32_t b = -2; b <= num_values + 1; ++b) bounds.push_back(b);
+  bounds.push_back(std::numeric_limits<int32_t>::max());
+  const AnatomizedTable view = AnatomizedTable::FromGrouping(grouped);
+  EXPECT_EQ(view.num_groups(), grouped.num_ecs());
+  EXPECT_EQ(view.num_rows(), source.num_rows());
+  bool repeats = false;
+  for (size_t g = 0; g < grouped.num_ecs(); ++g) {
+    const EquivalenceClass& ec = grouped.ec(g);
+    EXPECT_EQ(view.group_size(g), ec.size());
+    std::vector<int64_t> per_value(static_cast<size_t>(num_values), 0);
+    for (int64_t row : ec.rows) {
+      EXPECT_EQ(view.group_of_row(row), static_cast<int32_t>(g));
+      if (++per_value[source.sa_value(row)] > 1) repeats = true;
+    }
+    for (int32_t lo : bounds) {
+      for (int32_t hi : bounds) {
+        int64_t count = 0;
+        int64_t sum = 0;
+        int64_t square_sum = 0;
+        for (int64_t row : ec.rows) {
+          const int64_t v = source.sa_value(row);
+          if (v < lo || v > hi) continue;
+          ++count;
+          sum += v;
+          square_sum += v * v;
+        }
+        const SaMoments moments = view.GroupSaMoments(g, lo, hi);
+        if (moments.count != count || moments.sum != sum ||
+            moments.square_sum != square_sum) {
+          testing::Fail(
+              __FILE__, __LINE__,
+              StrFormat("group %zu, range [%d, %d]: moments {%lld, %lld, "
+                        "%lld}, recount {%lld, %lld, %lld}",
+                        g, lo, hi, static_cast<long long>(moments.count),
+                        static_cast<long long>(moments.sum),
+                        static_cast<long long>(moments.square_sum),
+                        static_cast<long long>(count),
+                        static_cast<long long>(sum),
+                        static_cast<long long>(square_sum)));
+          return repeats;
+        }
+      }
+    }
+  }
+  return repeats;
+}
+
+// The separate-table view must agree with a row-by-row recount, on
+// Anatomy's own groups (distinct values, size l or l + 1) and on a
+// grouping Anatomy never forms: a few large groups that repeat values.
 TEST(AnatomizedView, MatchesBruteForceRecount) {
   CensusOptions census;
   census.num_rows = 1000;
@@ -194,31 +253,16 @@ TEST(AnatomizedView, MatchesBruteForceRecount) {
   options.l = 3;
   auto published = AnonymizeWithAnatomy(table, options);
   ASSERT_OK(published);
+  EXPECT_FALSE(ExpectViewMatchesRecount(*published));
 
-  const AnatomizedTable view = AnatomizedTable::FromGrouping(*published);
-  ASSERT_EQ(view.num_groups(), published->num_ecs());
-  EXPECT_EQ(view.num_rows(), table->num_rows());
-  for (size_t g = 0; g < published->num_ecs(); ++g) {
-    const EquivalenceClass& ec = published->ec(g);
-    EXPECT_EQ(view.group_size(g), ec.size());
-    int64_t total = 0;
-    for (int32_t v = 0; v < table->sa_spec().num_values; ++v) {
-      int64_t count = 0;
-      for (int64_t row : ec.rows) {
-        if (table->sa_value(row) == v) ++count;
-      }
-      EXPECT_EQ(view.GroupSaCount(g, v, v), count);
-      total += count;
-    }
-    EXPECT_EQ(view.GroupSaCount(g, 0, table->sa_spec().num_values - 1),
-              total);
-    for (int64_t row : ec.rows) {
-      EXPECT_EQ(view.group_of_row(row), static_cast<int32_t>(g));
-    }
+  // Row r joins group r mod 4: 250-row groups over a 1000-row table.
+  std::vector<std::vector<int64_t>> groups(4);
+  for (int64_t row = 0; row < table->num_rows(); ++row) {
+    groups[row % 4].push_back(row);
   }
-  // Out-of-domain ranges clamp instead of reading out of bounds.
-  EXPECT_EQ(view.GroupSaCount(0, -5, -1), 0);
-  EXPECT_EQ(view.GroupSaCount(0, 1000, 2000), 0);
+  auto mod4 = GeneralizedTable::Create(table, std::move(groups));
+  ASSERT_OK(mod4);
+  EXPECT_TRUE(ExpectViewMatchesRecount(*mod4));
 }
 
 }  // namespace

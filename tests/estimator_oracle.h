@@ -82,7 +82,7 @@ inline double Anatomized(const AnatomizedTable& view,
     }
     const int32_t g = view.group_of_row(row);
     total += static_cast<double>(
-                 view.GroupSaCount(g, query.sa_lo, query.sa_hi)) /
+                 view.GroupSaMoments(g, query.sa_lo, query.sa_hi).count) /
              static_cast<double>(view.group_size(g));
   }
   return total;

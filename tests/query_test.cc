@@ -4,6 +4,7 @@
 // error aggregation cross-checked against a brute-force recount.
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "perturb/perturbation.h"
 #include "query/estimator.h"
 #include "query/published_view.h"
+#include "query/row_filter.h"
 #include "query/workload.h"
 #include "serve/epoch_server.h"
 #include "serve/query_server.h"
@@ -195,6 +197,60 @@ TEST(Workload, PreciseCountsMatchRowWiseMatches) {
       EXPECT_EQ(counts[i], expected);
     }
     EXPECT_EQ(counts.back(), rows);
+  }
+}
+
+// The row kernel on raw columns: for sizes around the 8-byte mask
+// word and the 2048-row block, CountMatchingRows, the visits of
+// ForEachMatchingRow and a naive per-row loop agree, and the visits
+// are strictly ascending. Range sets cover no ranges, an inverted
+// range, every row matching (every mask word all set), no row
+// matching, and seeded random ranges.
+TEST(RowFilter, CountAndVisitsMatchNaiveScan) {
+  for (int64_t n : {0, 1, 7, 8, 9, 2047, 2048, 2049, 4103}) {
+    Rng rng(static_cast<uint64_t>(n) + 17);
+    std::vector<int32_t> a(static_cast<size_t>(n));
+    std::vector<int32_t> b(static_cast<size_t>(n));
+    for (int64_t row = 0; row < n; ++row) {
+      a[row] = static_cast<int32_t>(rng.Below(10));
+      b[row] = static_cast<int32_t>(rng.Below(10));
+    }
+    std::vector<std::vector<ColumnRange>> range_sets = {
+        {},
+        {{a.data(), 5, 4}},
+        {{a.data(), 0, 9}, {b.data(), 0, 9}},
+        {{b.data(), 10, 20}},
+        {{a.data(), 0, 0}},
+        {{a.data(), 2, 7}, {b.data(), 0, 4}},
+    };
+    for (int i = 0; i < 4; ++i) {
+      const int32_t lo = static_cast<int32_t>(rng.Below(10));
+      const int32_t hi = lo + static_cast<int32_t>(rng.Below(10 - lo));
+      range_sets.push_back({{a.data(), lo, hi}, {b.data(), hi - lo, 9}});
+    }
+    for (const std::vector<ColumnRange>& ranges : range_sets) {
+      std::vector<int64_t> expected;
+      for (int64_t row = 0; row < n; ++row) {
+        bool match = true;
+        for (const ColumnRange& r : ranges) {
+          if (r.column[row] < r.lo || r.column[row] > r.hi) match = false;
+        }
+        if (match) expected.push_back(row);
+      }
+      std::vector<int64_t> visited;
+      ForEachMatchingRow(n, ranges,
+                         [&visited](int64_t row) { visited.push_back(row); });
+      EXPECT_TRUE(std::adjacent_find(visited.begin(), visited.end(),
+                                     std::greater_equal<int64_t>()) ==
+                  visited.end());
+      EXPECT_TRUE(visited == expected);
+      EXPECT_EQ(CountMatchingRows(n, ranges),
+                static_cast<int64_t>(expected.size()));
+    }
+    EXPECT_EQ(CountMatchingRows(n, range_sets[0]), n);
+    EXPECT_EQ(CountMatchingRows(n, range_sets[1]), 0);
+    EXPECT_EQ(CountMatchingRows(n, range_sets[2]), n);
+    EXPECT_EQ(CountMatchingRows(n, range_sets[3]), 0);
   }
 }
 
