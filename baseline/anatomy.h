@@ -60,7 +60,11 @@ struct SaMoments {
 // and ST (the multiset of SA values of each group, stored as one CSR
 // array — the group's entries are contiguous — so the ST costs 4 B per
 // row plus 8 B per group, like Anatomy's own one-row-per-(group, value)
-// table). This is the view the Figure 9 estimator answers from.
+// table). This is the view the Figure 9 estimator answers from: it
+// reads the ST through GroupSaMoments at most once per group per
+// answer, into a per-query record of what its row visit needs, and not
+// at all for a COUNT or SUM without an SA range (the full-domain SUM
+// records are read once, when the estimator is made).
 class AnatomizedTable {
  public:
   // Accepts any partition of the source rows, including groups that

@@ -15,12 +15,16 @@ ran; the i-th runs of the first two rows form pair i. Example:
         --row change <commit> runs/change_s*.txt \\
         --out BENCH_serve_anatomy.json
 
-For every end-to-end metric of BENCHMARK.json the output gives each
-row's median and quartiles, and for the pairs of the first two rows the
-wins of each side (ties count for neither, "better" per BENCHMARK.json)
-and whether the second row's gain clears the gain rule: wins on at
-least nine tenths of the pairs and a median gap above the first row's
-interquartile range.
+For every end-to-end metric of BENCHMARK.json each row gives its median
+and quartiles, and a comparison of the first two rows of the call gives
+the wins of each side over their pairs (ties count for neither,
+"better" per BENCHMARK.json) and whether the second row's gain clears
+the gain rule: wins on at least nine tenths of the pairs and a median
+gap above the first row's interquartile range.
+
+The file keeps its history: when --out exists, its rows and comparisons
+are kept as they are and the call's rows are appended after them, the
+call's comparison naming the indices of the two rows it compares.
 """
 
 import argparse
@@ -78,15 +82,25 @@ def main():
     nprocs = {run["nproc"] for row in rows for run in row["runs"]}
     if len(nprocs) != 1:
         sys.exit(f"runs come from hosts with different nproc: {nprocs}")
+    nproc = nprocs.pop()
 
-    out = {
-        "workload": args.workload,
-        "command": f"python3 perfbench/run.py --workload {args.workload} "
-                   "--seed <seed> --seconds "
-                   f"{spec['run_seconds']} --trace 0",
-        "nproc": nprocs.pop(),
-        "rows": [],
-    }
+    out_path = Path(args.out)
+    if out_path.exists():
+        out = json.loads(out_path.read_text())
+        if out["workload"] != args.workload or out["nproc"] != nproc:
+            sys.exit(f"{out_path} holds {out['workload']} runs on "
+                     f"{out['nproc']} CPUs, not {args.workload} on {nproc}")
+    else:
+        out = {
+            "workload": args.workload,
+            "command": f"python3 perfbench/run.py --workload {args.workload} "
+                       "--seed <seed> --seconds "
+                       f"{spec['run_seconds']} --trace 0",
+            "nproc": nproc,
+            "rows": [],
+            "comparisons": [],
+        }
+    first = len(out["rows"])
     for row in rows:
         runs = row["runs"]
         entry = {
@@ -110,7 +124,8 @@ def main():
         base, new = rows[0]["runs"], rows[1]["runs"]
         if [r["seed"] for r in base] != [r["seed"] for r in new]:
             sys.exit("the first two rows must list the same seeds in order")
-        comparison = {"pairs": len(base), "metrics": {}}
+        comparison = {"rows": [first, first + 1], "pairs": len(base),
+                      "metrics": {}}
         for metric in metrics_spec:
             name = metric["name"]
             sign = 1.0 if metric["better"] == "higher" else -1.0
@@ -118,8 +133,8 @@ def main():
                        for b, n in zip(base, new))
             losses = sum(sign * (n["metrics"][name] - b["metrics"][name]) < 0
                          for b, n in zip(base, new))
-            b_stats = out["rows"][0]["metrics"][name]
-            n_stats = out["rows"][1]["metrics"][name]
+            b_stats = out["rows"][first]["metrics"][name]
+            n_stats = out["rows"][first + 1]["metrics"][name]
             gap = sign * (n_stats["median"] - b_stats["median"])
             iqr = b_stats["q3"] - b_stats["q1"]
             comparison["metrics"][name] = {
@@ -128,9 +143,9 @@ def main():
                 if b_stats["median"] else None,
                 "gain_clears_rule": wins * 10 >= 9 * len(base) and gap > iqr,
             }
-        out["comparison"] = comparison
+        out["comparisons"].append(comparison)
 
-    Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
+    out_path.write_text(json.dumps(out, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -226,10 +226,26 @@ class GeneralizedEstimator final : public Estimator {
 // Exact QI values, group-level SA values: rows matching the QI
 // predicates are selected exactly (the QIT publishes exact values) and
 // each contributes its group's share of the SA predicate.
+//
+// Every answer is one visit of the QI-matching rows that adds up one
+// record per row, read from the row's group. A query with an SA
+// predicate first fills its own records in one pass over the groups,
+// each holding only what the visit reads: the fraction for COUNT (8 B),
+// the first two moments for SUM (16 B), all three for both (24 B). The
+// per-row variance terms are recomputed from them at every visited row;
+// with contraction off that gives the bits a per-group precomputation
+// would. The full-domain SUM records do not depend on the query, so
+// they are built once, at construction.
 class AnatomizedEstimator final : public Estimator {
  public:
   explicit AnatomizedEstimator(std::shared_ptr<const AnatomizedTable> view)
-      : view_(std::move(view)) {}
+      : view_(std::move(view)) {
+    const int32_t hi = sa_num_values() - 1;
+    full_domain_sum_ = PerGroup([&](size_t g) {
+      const SumRecord r = SumRecordOf(view_->GroupSaMoments(g, 0, hi), g);
+      return EstimateWithVariance{r.mean, SumVariance(r)};
+    });
+  }
 
   std::string Name() const override { return "anatomized"; }
   Status Validate(const AggregateQuery& query) const override {
@@ -245,21 +261,18 @@ class AnatomizedEstimator final : public Estimator {
   // `fraction`: Bernoulli mean and variance per row.
   EstimateWithVariance EstimateWithUncertainty(
       const AggregateQuery& query) const override {
-    const AnatomizedTable& view = *view_;
     if (!query.has_sa_predicate()) {
       // Below 2^53 rows the count is exactly the Σ 1.0 of a row visit.
       EstimateWithVariance out;
       out.estimate = static_cast<double>(
-          CountMatchingRows(view.num_rows(), QiRanges(query)));
+          CountMatchingRows(view_->num_rows(), QiRanges(query)));
       return out;
     }
-    return SumOverMatchingRows(query, [&](size_t g) {
-      const double fraction =
-          static_cast<double>(
-              view.GroupSaMoments(g, query.sa_lo, query.sa_hi).count) /
-          static_cast<double>(view.group_size(g));
-      return EstimateWithVariance{fraction, fraction * (1.0 - fraction)};
+    const std::vector<double> fractions = PerGroup([&](size_t g) {
+      return FractionOf(view_->GroupSaMoments(g, query.sa_lo, query.sa_hi),
+                        g);
     });
+    return VisitMatchingRows<EstimateWithVariance>(query, fractions);
   }
 
   // A QIT-matching row's SA value is unknown (the group's linkage is
@@ -269,24 +282,85 @@ class AnatomizedEstimator final : public Estimator {
   // the same histogram moments.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
-    const AnatomizedTable& view = *view_;
-    int32_t lo = 0;
-    int32_t hi = sa_num_values() - 1;
-    if (query.has_sa_predicate()) {
-      lo = query.sa_lo;
-      hi = query.sa_hi;
+    if (!query.has_sa_predicate()) {
+      return VisitMatchingRows<EstimateWithVariance>(query, full_domain_sum_);
     }
-    return SumOverMatchingRows(query, [&](size_t g) {
-      const SaMoments moments = view.GroupSaMoments(g, lo, hi);
-      const double inv = 1.0 / static_cast<double>(view.group_size(g));
-      const double mean = static_cast<double>(moments.sum) * inv;
-      const double second = static_cast<double>(moments.square_sum) * inv;
-      // Non-negative mathematically; the max guards FP rounding only.
-      return EstimateWithVariance{mean, std::max(0.0, second - mean * mean)};
+    const std::vector<SumRecord> records = PerGroup([&](size_t g) {
+      return SumRecordOf(view_->GroupSaMoments(g, query.sa_lo, query.sa_hi),
+                         g);
     });
+    return VisitMatchingRows<EstimateWithVariance>(query, records);
+  }
+
+  // COUNT and SUM from one per-group pass (none without an SA
+  // predicate) and one row visit, each accumulator adding the terms its
+  // own call adds in the same row order.
+  CountAndSum EstimateCountAndSumWithUncertainty(
+      const AggregateQuery& query) const override {
+    if (!query.has_sa_predicate()) {
+      return VisitMatchingRows<CountAndSum>(query, full_domain_sum_);
+    }
+    const std::vector<CountSumRecord> records = PerGroup([&](size_t g) {
+      const SaMoments m = view_->GroupSaMoments(g, query.sa_lo, query.sa_hi);
+      return CountSumRecord{FractionOf(m, g), SumRecordOf(m, g)};
+    });
+    return VisitMatchingRows<CountAndSum>(query, records);
   }
 
  private:
+  // A group's per-query SUM record: its mean masked value and mean
+  // masked square.
+  struct SumRecord {
+    double mean;
+    double second;
+  };
+  struct CountSumRecord {
+    double fraction;
+    SumRecord sum;
+  };
+
+  double FractionOf(const SaMoments& m, size_t g) const {
+    return static_cast<double>(m.count) /
+           static_cast<double>(view_->group_size(g));
+  }
+  SumRecord SumRecordOf(const SaMoments& m, size_t g) const {
+    const double inv = 1.0 / static_cast<double>(view_->group_size(g));
+    return {static_cast<double>(m.sum) * inv,
+            static_cast<double>(m.square_sum) * inv};
+  }
+  // Non-negative mathematically; the max guards FP rounding only.
+  static double SumVariance(const SumRecord& r) {
+    return std::max(0.0, r.second - r.mean * r.mean);
+  }
+
+  // The terms one visited row adds, chosen by its record and the answer
+  // it accumulates. COUNT: the Bernoulli mean f and variance f(1-f).
+  static void AddRow(double fraction, EstimateWithVariance* out) {
+    out->estimate += fraction;
+    out->variance += fraction * (1.0 - fraction);
+  }
+  // SUM, from the two moments or from a precomputed {mean, variance}.
+  static void AddRow(const SumRecord& r, EstimateWithVariance* out) {
+    out->estimate += r.mean;
+    out->variance += SumVariance(r);
+  }
+  static void AddRow(const EstimateWithVariance& r,
+                     EstimateWithVariance* out) {
+    out->estimate += r.estimate;
+    out->variance += r.variance;
+  }
+  // Both, with and without an SA predicate. Without one every matching
+  // row counts 1.0: below 2^53 rows the Σ 1.0 is exactly the no-SA
+  // COUNT's matching-row count.
+  static void AddRow(const CountSumRecord& r, CountAndSum* out) {
+    AddRow(r.fraction, &out->count);
+    AddRow(r.sum, &out->sum);
+  }
+  static void AddRow(const EstimateWithVariance& r, CountAndSum* out) {
+    out->count.estimate += 1.0;
+    AddRow(r, &out->sum);
+  }
+
   // The query's QI predicates as kernel ranges. The SA column is what
   // Anatomy withholds per row, so an SA predicate acts only through the
   // groups' ST entries.
@@ -294,27 +368,36 @@ class AnatomizedEstimator final : public Estimator {
     return QueryRanges(view_->source(), query, /*with_sa=*/false);
   }
 
-  // Σ over the rows matching the QI predicates of their group's per-row
-  // {mean, variance}, `moments(g)` evaluated once per group.
-  template <typename GroupMoments>
-  EstimateWithVariance SumOverMatchingRows(const AggregateQuery& query,
-                                           GroupMoments moments) const {
-    const AnatomizedTable& view = *view_;
-    std::vector<EstimateWithVariance> per_group;
-    per_group.reserve(view.num_groups());
-    for (size_t g = 0; g < view.num_groups(); ++g) {
-      per_group.push_back(moments(g));
+  // The per-group pass: record(g) for every group, in group order.
+  template <typename Record>
+  auto PerGroup(Record record) const
+      -> std::vector<decltype(record(size_t{0}))> {
+    std::vector<decltype(record(size_t{0}))> out;
+    out.reserve(view_->num_groups());
+    for (size_t g = 0; g < view_->num_groups(); ++g) {
+      out.push_back(record(g));
     }
-    EstimateWithVariance out;
+    return out;
+  }
+
+  // The row visit every answer makes: AddRow(records[g], &out) for
+  // each row matching the query's QI predicates, g its group, in
+  // ascending row order.
+  template <typename Out, typename Record>
+  Out VisitMatchingRows(const AggregateQuery& query,
+                        const std::vector<Record>& records) const {
+    const AnatomizedTable& view = *view_;
+    Out out;
     ForEachMatchingRow(view.num_rows(), QiRanges(query), [&](int64_t row) {
-      const EstimateWithVariance& m = per_group[view.group_of_row(row)];
-      out.estimate += m.estimate;
-      out.variance += m.variance;
+      AddRow(records[view.group_of_row(row)], &out);
     });
     return out;
   }
 
   std::shared_ptr<const AnatomizedTable> view_;
+  // Per group: the {mean, variance} a row adds to a SUM without an SA
+  // predicate (16 B per group).
+  std::vector<EstimateWithVariance> full_domain_sum_;
 };
 
 // Uniform spread over the boxes of a randomized-response view, with
@@ -421,9 +504,10 @@ class PerturbedEstimator final : public Estimator {
 
 EstimateWithVariance Estimator::EstimateAvgWithUncertainty(
     const AggregateQuery& query) const {
-  const EstimateWithVariance count = EstimateWithUncertainty(query);
+  const CountAndSum parts = EstimateCountAndSumWithUncertainty(query);
+  const EstimateWithVariance& count = parts.count;
+  const EstimateWithVariance& sum = parts.sum;
   if (count.estimate <= 0.0) return {};  // empty selection: AVG is 0
-  const EstimateWithVariance sum = EstimateSumWithUncertainty(query);
   EstimateWithVariance out;
   out.estimate = sum.estimate / count.estimate;
   // Delta method for the ratio S/C, with the (positive) S-C covariance

@@ -8,10 +8,14 @@
 //     fraction of its QI box the query covers — the standard
 //     uniform-spread assumption (Figure 8's estimator, now SA-aware).
 //   - Anatomy: exact QI values, each group's SA values — matching rows
-//     contribute their group's matching-SA fraction, read from the
-//     compact ST (AnatomizedTable::GroupSaMoments) once per group per
-//     query; a COUNT without an SA predicate is the exact matching-row
-//     count (Figure 9).
+//     contribute their group's matching-SA fraction (Figure 9). Every
+//     answer is at most one per-group pass over the compact ST
+//     (AnatomizedTable::GroupSaMoments), filling a per-query record
+//     of only what the row visit reads, plus one visit of the
+//     QI-matching rows. A COUNT without an SA predicate is the exact
+//     matching-row count, and a SUM without one reads per-group
+//     records precomputed at construction, so neither makes the
+//     per-group pass.
 //   - Perturbed publications: uniform spread over the boxes plus
 //     reconstruction — the randomized response is inverted in
 //     expectation before counting (Figure 9).
@@ -61,6 +65,13 @@ struct EstimateWithVariance {
   double variance = 0.0;
 };
 
+// The COUNT(*) and SUM(SA) answers of one query, the two parts of its
+// AVG.
+struct CountAndSum {
+  EstimateWithVariance count;
+  EstimateWithVariance sum;
+};
+
 // Interface every publication shape's estimator implements.
 // Implementations are immutable after construction and safe to share
 // across threads.
@@ -105,10 +116,20 @@ class Estimator {
   virtual EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const = 0;
 
-  // AVG(SA) = SUM/COUNT of the two estimates above, with the
-  // delta-method variance (varS + avg²·varC) / C² (the S-C covariance
-  // term is dropped — conservative for positively correlated numerator
-  // and denominator). An empty selection (count <= 0) answers {0, 0}.
+  // Both answers above for one query, each bitwise what its own call
+  // returns. The default makes those two calls, so a decorator that
+  // overrides only them keeps AVG consistent; a shape whose COUNT and
+  // SUM read the same scan (Anatomy) overrides this to make it once.
+  virtual CountAndSum EstimateCountAndSumWithUncertainty(
+      const AggregateQuery& query) const {
+    return {EstimateWithUncertainty(query), EstimateSumWithUncertainty(query)};
+  }
+
+  // AVG(SA) = SUM/COUNT of the two estimates above, read in one
+  // EstimateCountAndSumWithUncertainty call, with the delta-method
+  // variance (varS + avg²·varC) / C² (the S-C covariance term is
+  // dropped — conservative for positively correlated numerator and
+  // denominator). An empty selection (count <= 0) answers {0, 0}.
   // Non-virtual: every shape's AVG is its SUM over its COUNT by
   // construction, which the consistency tests rely on.
   EstimateWithVariance EstimateAvgWithUncertainty(

@@ -1,9 +1,9 @@
 // Test-only reference estimators: the plain scanning formulas every
 // publication shape's Estimator must reproduce *bitwise* — one pass
 // over every equivalence class (or every row), with no index, no
-// prune, and no row-selection kernel. The fig8/fig9 goldens depend on
-// that identity, so tests compare against these with EXPECT_EQ on raw
-// doubles, not EXPECT_NEAR.
+// prune, no per-group records, and no row-selection kernel. The
+// fig8/fig9 goldens depend on that identity, so tests compare against
+// these with EXPECT_EQ on raw doubles, not EXPECT_NEAR.
 #ifndef BETALIKE_TESTS_ESTIMATOR_ORACLE_H_
 #define BETALIKE_TESTS_ESTIMATOR_ORACLE_H_
 
@@ -14,6 +14,7 @@
 #include "baseline/anatomy.h"
 #include "data/table.h"
 #include "perturb/perturbation.h"
+#include "query/estimator.h"
 #include "query/workload.h"
 
 namespace betalike {
@@ -60,32 +61,66 @@ inline double Generalized(const GeneralizedTable& published,
   return total;
 }
 
+// True iff `row` satisfies every QI predicate of `query`.
+inline bool MatchesQi(const Table& source, int64_t row,
+                      const AggregateQuery& query) {
+  for (const QueryPredicate& p : query.predicates) {
+    const int32_t v = source.qi_value(row, p.dim);
+    if (v < p.lo || v > p.hi) return false;
+  }
+  return true;
+}
+
 // Anatomy COUNT: every row matching the QI predicates contributes its
-// group's SA-range fraction (1 without an SA predicate).
-inline double Anatomized(const AnatomizedTable& view,
-                         const AggregateQuery& query) {
+// group's SA-range fraction f with Bernoulli variance f(1-f) (1 and 0
+// without an SA predicate), the group's ST entries re-read at every
+// row.
+inline EstimateWithVariance AnatomizedCount(const AnatomizedTable& view,
+                                            const AggregateQuery& query) {
   const Table& source = view.source();
-  double total = 0.0;
+  EstimateWithVariance out;
   for (int64_t row = 0; row < source.num_rows(); ++row) {
-    bool match = true;
-    for (const QueryPredicate& p : query.predicates) {
-      const int32_t v = source.qi_value(row, p.dim);
-      if (v < p.lo || v > p.hi) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
+    if (!MatchesQi(source, row, query)) continue;
     if (!query.has_sa_predicate()) {
-      total += 1.0;
+      out.estimate += 1.0;
       continue;
     }
     const int32_t g = view.group_of_row(row);
-    total += static_cast<double>(
-                 view.GroupSaMoments(g, query.sa_lo, query.sa_hi).count) /
-             static_cast<double>(view.group_size(g));
+    const double fraction =
+        static_cast<double>(
+            view.GroupSaMoments(g, query.sa_lo, query.sa_hi).count) /
+        static_cast<double>(view.group_size(g));
+    out.estimate += fraction;
+    out.variance += fraction * (1.0 - fraction);
   }
-  return total;
+  return out;
+}
+
+// Anatomy SUM: every row matching the QI predicates contributes its
+// group's mean masked value E[v·1{v in range}] with variance
+// max(0, E[v²·1] - E[v·1]²), the range being the whole SA domain
+// without an SA predicate.
+inline EstimateWithVariance AnatomizedSum(const AnatomizedTable& view,
+                                          const AggregateQuery& query) {
+  const Table& source = view.source();
+  int32_t lo = 0;
+  int32_t hi = source.sa_spec().num_values - 1;
+  if (query.has_sa_predicate()) {
+    lo = query.sa_lo;
+    hi = query.sa_hi;
+  }
+  EstimateWithVariance out;
+  for (int64_t row = 0; row < source.num_rows(); ++row) {
+    if (!MatchesQi(source, row, query)) continue;
+    const int32_t g = view.group_of_row(row);
+    const SaMoments moments = view.GroupSaMoments(g, lo, hi);
+    const double inv = 1.0 / static_cast<double>(view.group_size(g));
+    const double mean = static_cast<double>(moments.sum) * inv;
+    const double second = static_cast<double>(moments.square_sum) * inv;
+    out.estimate += mean;
+    out.variance += std::max(0.0, second - mean * mean);
+  }
+  return out;
 }
 
 // Perturbed COUNT: uniform spread over the view's boxes, each class's

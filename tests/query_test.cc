@@ -4,11 +4,14 @@
 // error aggregation cross-checked against a brute-force recount.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
+#include "baseline/anatomy.h"
 #include "census/census.h"
 #include "common/random.h"
 #include "perturb/perturbation.h"
@@ -505,9 +508,10 @@ TEST(Estimator, AnatomizedMatchesHandComputedGroupFractions) {
   query.predicates.push_back({0, 1, 5});
   query.sa_lo = 1;
   query.sa_hi = 2;
-  EXPECT_NEAR(oracle::Anatomized(view, query), 3.0, 1e-12);
+  EXPECT_NEAR(oracle::AnatomizedCount(view, query).estimate, 3.0, 1e-12);
   const auto estimator = MakeEstimatorOrDie(PublishedView::Anatomized(view));
-  EXPECT_EQ(estimator->Estimate(query), oracle::Anatomized(view, query));
+  EXPECT_EQ(estimator->Estimate(query),
+            oracle::AnatomizedCount(view, query).estimate);
 }
 
 TEST(Estimator, EvenWorkloadMedianAveragesTheMiddlePair) {
@@ -594,11 +598,98 @@ TEST(EstimatorInterface, AnatomizedMatchesScanningOracleExactly) {
       const auto workload =
           MixedWorkload(table->schema(), include_sa, include_sa ? 79 : 83);
       for (const AggregateQuery& query : workload) {
-        const double expected = oracle::Anatomized(view, query);
+        const double expected = oracle::AnatomizedCount(view, query).estimate;
         EXPECT_EQ(estimator->Estimate(query), expected);
         EXPECT_EQ(estimator->EstimateWithUncertainty(query).estimate,
                   expected);
       }
+    }
+  }
+}
+
+// Row r of `table` in a group of 3, 5, 7, 12, 25 or 100 rows (sizes
+// cycling, the last group taking what is left), each group's rows
+// scattered over the table by a seeded shuffle: unequal group sizes
+// that are not powers of two, so the ST fractions are not dyadic.
+GeneralizedTable MixedSizePublication(
+    const std::shared_ptr<const Table>& table) {
+  std::vector<int64_t> order(static_cast<size_t>(table->num_rows()));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  Rng rng(61);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.Below(i)]);
+  }
+  const size_t sizes[] = {3, 5, 7, 12, 25, 100};
+  std::vector<std::vector<int64_t>> groups;
+  for (size_t start = 0; start < order.size();) {
+    const size_t end =
+        std::min(order.size(), start + sizes[groups.size() % 6]);
+    groups.emplace_back(order.begin() + start, order.begin() + end);
+    start = end;
+  }
+  auto published = GeneralizedTable::Create(table, std::move(groups));
+  BETALIKE_CHECK(published.ok()) << published.status().ToString();
+  return std::move(published).value();
+}
+
+void ExpectSameAnswer(const EstimateWithVariance& actual,
+                      const EstimateWithVariance& expected) {
+  EXPECT_EQ(actual.estimate, expected.estimate);
+  EXPECT_EQ(actual.variance, expected.variance);
+}
+
+// Anatomy's whole answer — COUNT and SUM, estimate and variance, alone
+// and through the fused COUNT+SUM hook — must be the bits of the
+// row-at-a-time oracle, which re-reads each group's ST entries at every
+// row: on Anatomy's own groups, on 200-row mod-k groups and on mixed
+// group sizes, for every kind of SA range.
+TEST(EstimatorInterface, AnatomizedAnswersMatchRowOracleBitwise) {
+  const auto table = SmallCensus(1200);
+  const int32_t num_values = table->sa_spec().num_values;
+  ASSERT_TRUE(num_values >= 4);
+  AnatomyOptions anatomy;
+  anatomy.l = 4;
+  auto anatomy_groups = AnonymizeWithAnatomy(table, anatomy);
+  ASSERT_OK(anatomy_groups);
+  const GeneralizedTable groupings[] = {std::move(anatomy_groups).value(),
+                                        ModKPublication(table, 6),
+                                        MixedSizePublication(table)};
+  // {sa_lo, sa_hi}: none (the {0, -1} default), interior, inverted
+  // (also none), out of the domain on either side, the full domain.
+  const std::pair<int32_t, int32_t> sa_ranges[] = {
+      {0, -1},
+      {num_values / 4, num_values / 2},
+      {num_values / 2, num_values / 4},
+      {num_values, num_values + 5},
+      {-6, -1},
+      {0, num_values - 1}};
+
+  for (const GeneralizedTable& grouping : groupings) {
+    const AnatomizedTable view = AnatomizedTable::FromGrouping(grouping);
+    const auto estimator =
+        MakeEstimatorOrDie(PublishedView::Anatomized(view));
+    for (AggregateQuery query : MixedWorkload(table->schema(), false, 107)) {
+      for (const auto& [lo, hi] : sa_ranges) {
+        query.sa_lo = lo;
+        query.sa_hi = hi;
+        const EstimateWithVariance count =
+            oracle::AnatomizedCount(view, query);
+        const EstimateWithVariance sum = oracle::AnatomizedSum(view, query);
+        ExpectSameAnswer(estimator->EstimateWithUncertainty(query), count);
+        ExpectSameAnswer(estimator->EstimateSumWithUncertainty(query), sum);
+        const CountAndSum both =
+            estimator->EstimateCountAndSumWithUncertainty(query);
+        ExpectSameAnswer(both.count, count);
+        ExpectSameAnswer(both.sum, sum);
+      }
+      // An explicit full-domain range (the last above) reads the ST per
+      // query; no SA predicate reads the records precomputed at
+      // construction. The two must agree.
+      AggregateQuery no_sa = query;
+      no_sa.sa_lo = 0;
+      no_sa.sa_hi = -1;
+      ExpectSameAnswer(estimator->EstimateSumWithUncertainty(query),
+                       estimator->EstimateSumWithUncertainty(no_sa));
     }
   }
 }
@@ -860,10 +951,20 @@ TEST(EstimatorAggregates, InternalConsistencyOnCoarsePublications) {
             estimator->EstimateSumWithUncertainty(query);
         EXPECT_GE(sum.variance, 0.0);
 
+        const CountAndSum both =
+            estimator->EstimateCountAndSumWithUncertainty(query);
+        ExpectSameAnswer(both.count, count);
+        ExpectSameAnswer(both.sum, sum);
+
         const EstimateWithVariance avg =
             estimator->EstimateAvgWithUncertainty(query);
         if (count.estimate > 0.0) {
-          EXPECT_EQ(avg.estimate, sum.estimate / count.estimate);
+          // The delta-method formula over separate COUNT and SUM calls.
+          const double ratio = sum.estimate / count.estimate;
+          EXPECT_EQ(avg.estimate, ratio);
+          EXPECT_EQ(avg.variance,
+                    (sum.variance + ratio * ratio * count.variance) /
+                        (count.estimate * count.estimate));
           EXPECT_GE(avg.variance, 0.0);
         } else {
           EXPECT_EQ(avg.estimate, 0.0);
@@ -888,6 +989,95 @@ TEST(EstimatorAggregates, InternalConsistencyOnCoarsePublications) {
           EXPECT_EQ(by_value[v].estimate, slot.estimate);
           EXPECT_EQ(by_value[v].variance, slot.variance);
         }
+      }
+    }
+  }
+}
+
+// One group of 49 rows that all hold SA value 5: E[v²] - E[v]² is 0,
+// but 1225/49 - (245/49)² rounds to -3.6e-15, so a row's SUM variance
+// is 0 only through the clamp — on the no-SA path, which reads the
+// records precomputed at construction, and on the SA-range path.
+TEST(EstimatorInterface, AnatomizedSumVarianceClampsRoundingToZero) {
+  std::vector<int32_t> qi(49);
+  std::iota(qi.begin(), qi.end(), 0);
+  auto table_or = Table::Create({{"A", 0, 48}}, {"SA", 8}, {qi},
+                                std::vector<int32_t>(49, 5));
+  ASSERT_OK(table_or);
+  auto table = std::make_shared<Table>(std::move(table_or).value());
+  std::vector<int64_t> rows(49);
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  auto published = GeneralizedTable::Create(table, {rows});
+  ASSERT_OK(published);
+  const AnatomizedTable view = AnatomizedTable::FromGrouping(*published);
+  const auto estimator = MakeEstimatorOrDie(PublishedView::Anatomized(view));
+
+  AggregateQuery query;
+  query.predicates.push_back({0, 3, 40});
+  for (const auto& [lo, hi] : {std::pair{0, -1}, std::pair{2, 6}}) {
+    query.sa_lo = lo;
+    query.sa_hi = hi;
+    const EstimateWithVariance sum =
+        estimator->EstimateSumWithUncertainty(query);
+    EXPECT_EQ(sum.variance, 0.0);
+    ExpectSameAnswer(sum, oracle::AnatomizedSum(view, query));
+    ExpectSameAnswer(
+        estimator->EstimateCountAndSumWithUncertainty(query).sum, sum);
+  }
+}
+
+// A decorator that overrides only COUNT and SUM, like a timing wrapper:
+// its AVG goes through the default COUNT+SUM hook, two forwarded calls.
+class CountSumForwarder final : public Estimator {
+ public:
+  explicit CountSumForwarder(std::shared_ptr<const Estimator> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string Name() const override { return inner_->Name(); }
+  int32_t sa_num_values() const override { return inner_->sa_num_values(); }
+  EstimateWithVariance EstimateWithUncertainty(
+      const AggregateQuery& query) const override {
+    return inner_->EstimateWithUncertainty(query);
+  }
+  EstimateWithVariance EstimateSumWithUncertainty(
+      const AggregateQuery& query) const override {
+    return inner_->EstimateSumWithUncertainty(query);
+  }
+
+ private:
+  std::shared_ptr<const Estimator> inner_;
+};
+
+// A shape's own COUNT+SUM hook (Anatomy's fused pass) and the default
+// a decorator falls back to must give the same AVG, to the bit.
+TEST(EstimatorAggregates, AvgThroughCountSumDecoratorIsBitwiseTheSame) {
+  const auto table = SmallCensus(1200);
+  const GeneralizedTable published = ModKPublication(table, 6);
+
+  std::vector<std::shared_ptr<const Estimator>> estimators;
+  estimators.push_back(
+      MakeEstimatorOrDie(PublishedView::Generalized(published)));
+  estimators.push_back(MakeEstimatorOrDie(
+      PublishedView::Anatomized(AnatomizedTable::FromGrouping(published))));
+  PerturbOptions perturb_options;
+  perturb_options.retention = 0.6;
+  perturb_options.seed = 131;
+  auto perturbed = PerturbSaWithinEcs(published, perturb_options);
+  ASSERT_OK(perturbed);
+  estimators.push_back(
+      MakeEstimatorOrDie(PublishedView::Perturbed(std::move(*perturbed))));
+
+  for (bool include_sa : {false, true}) {
+    const auto workload =
+        MixedWorkload(table->schema(), include_sa, include_sa ? 151 : 157);
+    for (const auto& estimator : estimators) {
+      const CountSumForwarder forwarder(estimator);
+      for (const AggregateQuery& query : workload) {
+        const EstimateWithVariance direct =
+            estimator->EstimateAvgWithUncertainty(query);
+        const EstimateWithVariance forwarded =
+            forwarder.EstimateAvgWithUncertainty(query);
+        EXPECT_EQ(std::memcmp(&direct, &forwarded, sizeof direct), 0);
       }
     }
   }
