@@ -106,8 +106,8 @@ inline std::unique_ptr<Anonymizer> MakeAnonymizerOrDie(
 
 // Registry-resolved single publication: MakeAnonymizer + Anonymize
 // with CHECK-fail error handling. Shared by the figure benches (via
-// scheme_driver) and the serving bench — the one place publication
-// construction is spelled out.
+// scheme_driver) and the serving tests' CENSUS releases — the one
+// place publication construction is spelled out.
 inline GeneralizedTable Publish(const std::shared_ptr<const Table>& table,
                                 const AnonymizerSpec& spec) {
   const std::unique_ptr<Anonymizer> scheme = MakeAnonymizerOrDie(spec);

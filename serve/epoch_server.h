@@ -29,8 +29,8 @@
 // Consistency across adjacent epochs is checked with
 // CrossEpochConsistent: the same query served on epoch k and k+1 of
 // the same table must agree within the union of their confidence
-// intervals (the intervals must overlap). bench_qps CHECKs this over
-// a live swap.
+// intervals (the intervals must overlap). tests/epoch_server_test.cc
+// requires it over a live swap.
 #ifndef BETALIKE_SERVE_EPOCH_SERVER_H_
 #define BETALIKE_SERVE_EPOCH_SERVER_H_
 

@@ -5,8 +5,8 @@
 // estimator, retirement pinning (an in-flight batch on a retired epoch
 // completes against the retired publication), a live publish/retire
 // swap under concurrent submitters, and the cross-epoch CI-overlap
-// consistency check — both its pointwise semantics and a two-epoch
-// integration sweep.
+// consistency check — both its pointwise semantics and a live two-epoch
+// swap on uniform and CENSUS publications.
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -16,49 +16,21 @@
 #include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "query/estimator.h"
 #include "query/published_view.h"
 #include "query/workload.h"
 #include "serve/epoch_server.h"
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
+#include "tests/test_tables.h"
 
 namespace betalike {
 namespace {
 
-std::shared_ptr<const Table> UniformWideTable(int64_t rows, uint64_t seed) {
-  const std::vector<QiSpec> qi_schema = {
-      {"A", 0, 999}, {"B", 0, 999}, {"C", 0, 999}};
-  const SaSpec sa_schema = {"S", 4};
-  Rng rng(seed);
-  std::vector<std::vector<int32_t>> qi_cols(qi_schema.size());
-  std::vector<int32_t> sa;
-  for (int64_t i = 0; i < rows; ++i) {
-    for (auto& col : qi_cols) {
-      col.push_back(static_cast<int32_t>(rng.Below(1000)));
-    }
-    sa.push_back(static_cast<int32_t>(rng.Below(4)));
-  }
-  auto table = Table::Create(qi_schema, sa_schema, std::move(qi_cols),
-                             std::move(sa));
-  BETALIKE_CHECK(table.ok()) << table.status().ToString();
-  return std::make_shared<Table>(std::move(table).value());
-}
-
-// Distinct k → a genuinely different publication of the same table,
-// the shape of an incremental republication epoch.
 std::shared_ptr<const Estimator> ModKEstimator(
     const std::shared_ptr<const Table>& table, int k) {
-  std::vector<std::vector<int64_t>> ec_rows(k);
-  for (int64_t row = 0; row < table->num_rows(); ++row) {
-    ec_rows[row % k].push_back(row);
-  }
-  auto published = GeneralizedTable::Create(table, std::move(ec_rows));
-  BETALIKE_CHECK(published.ok()) << published.status().ToString();
-  auto estimator = MakeEstimator(PublishedView::Generalized(*published));
-  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
-  return std::move(estimator).value();
+  return MakeEstimatorOrDie(
+      PublishedView::Generalized(ModKPublication(table, k)));
 }
 
 TEST(EpochServer, CreateValidates) {
@@ -304,37 +276,59 @@ TEST(EpochServer, CrossEpochConsistentSemantics) {
 }
 
 TEST(EpochServer, AdjacentEpochsOfOneTableAgreeWithinUnionOfCis) {
-  // Two publications of the same table under the model that holds for
-  // it: the served intervals of adjacent epochs overlap for nearly
-  // every query (deterministic given the fixed seeds).
-  const auto table = UniformWideTable(20000, /*seed=*/37);
-  auto server = EpochServer::Create(1, ModKEstimator(table, 4), {});
-  ASSERT_OK(server);
-  ASSERT_OK((*server)->PublishEpoch(2, ModKEstimator(table, 8)));
+  // Two publications of the same table, swapped live: epoch 2 is
+  // published while epoch 1's batch is likely still in flight, and
+  // epoch 1 is retired before its answers are read. The served
+  // intervals of adjacent epochs must overlap for nearly every query
+  // (deterministic given the fixed seeds), on uniform data where the
+  // variance model holds and on a BUREL β=4 → β=2 CENSUS republication.
+  struct SwapCase {
+    std::shared_ptr<const Table> table;
+    std::shared_ptr<const Estimator> epoch1;
+    std::shared_ptr<const Estimator> epoch2;
+    int num_queries;
+    uint64_t seed;
+  };
+  const auto uniform = UniformWideTable(20000, /*seed=*/37);
+  const auto census = bench::MakeCensus(10000, /*qi_prefix=*/5);
+  const std::vector<SwapCase> cases = {
+      {uniform, ModKEstimator(uniform, 4), ModKEstimator(uniform, 8), 200, 41},
+      {census, BurelEstimator(census, 4.0),
+       BurelEstimator(census, 2.0), 400, 61}};
+  for (const SwapCase& swap : cases) {
+    QueryServerOptions server_options;
+    server_options.num_workers = 2;
+    auto server = EpochServer::Create(1, swap.epoch1, server_options);
+    ASSERT_OK(server);
 
-  WorkloadOptions options;
-  options.num_queries = 200;
-  options.lambda = 2;
-  options.selectivity = 0.1;
-  options.seed = 41;
-  auto workload = GenerateWorkload(table->schema(), options);
-  ASSERT_OK(workload);
-  const std::vector<ServedRequest> requests = CountRequests(*workload);
+    WorkloadOptions options;
+    options.num_queries = swap.num_queries;
+    options.lambda = 2;
+    options.selectivity = 0.1;
+    options.seed = swap.seed;
+    auto workload = GenerateWorkload(swap.table->schema(), options);
+    ASSERT_OK(workload);
+    const std::vector<ServedRequest> requests = CountRequests(*workload);
 
-  auto on1 = (*server)->SubmitBatch(requests, 1);
-  auto on2 = (*server)->SubmitBatch(requests, 2);
-  ASSERT_OK(on1);
-  ASSERT_OK(on2);
-  const std::vector<ServedAnswer> answers1 = on1->get();
-  const std::vector<ServedAnswer> answers2 = on2->get();
-  ASSERT_EQ(answers1.size(), answers2.size());
-  int consistent = 0;
-  for (size_t i = 0; i < answers1.size(); ++i) {
-    if (CrossEpochConsistent(answers1[i], answers2[i])) ++consistent;
+    auto on1 = (*server)->SubmitBatch(requests, 1);
+    ASSERT_OK((*server)->PublishEpoch(2, swap.epoch2));
+    auto on2 = (*server)->SubmitBatch(requests);  // latest = 2
+    ASSERT_OK((*server)->RetireEpoch(1));
+    ASSERT_OK(on1);
+    ASSERT_OK(on2);
+    const std::vector<ServedAnswer> answers1 = on1->get();
+    const std::vector<ServedAnswer> answers2 = on2->get();
+    ASSERT_EQ(answers1.size(), answers2.size());
+    int consistent = 0;
+    for (size_t i = 0; i < answers1.size(); ++i) {
+      if (CrossEpochConsistent(answers1[i], answers2[i])) ++consistent;
+    }
+    EXPECT_GE(static_cast<double>(consistent) /
+                  static_cast<double>(answers1.size()),
+              0.9);
+    EXPECT_EQ((*server)->latest_epoch(), 2);
+    EXPECT_EQ((*server)->epochs().size(), 1u);
   }
-  EXPECT_GE(static_cast<double>(consistent) /
-                static_cast<double>(answers1.size()),
-            0.9);
 }
 
 }  // namespace

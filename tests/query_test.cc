@@ -23,6 +23,7 @@
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
 #include "tests/estimator_oracle.h"
+#include "tests/test_tables.h"
 
 namespace betalike {
 namespace {
@@ -31,28 +32,6 @@ std::shared_ptr<const Table> SmallCensus(int64_t rows = 2000) {
   CensusOptions options;
   options.num_rows = rows;
   auto table = GenerateCensus(options);
-  BETALIKE_CHECK(table.ok()) << table.status().ToString();
-  return std::make_shared<Table>(std::move(table).value());
-}
-
-// Uniform table with wide domains, so per-predicate range lengths
-// round to the target fraction with negligible error and empirical
-// selectivity matches the domain-volume fraction.
-std::shared_ptr<const Table> UniformWideTable(int64_t rows, uint64_t seed) {
-  const std::vector<QiSpec> qi_schema = {
-      {"A", 0, 999}, {"B", 0, 999}, {"C", 0, 999}};
-  const SaSpec sa_schema = {"S", 4};
-  Rng rng(seed);
-  std::vector<std::vector<int32_t>> qi_cols(qi_schema.size());
-  std::vector<int32_t> sa;
-  for (int64_t i = 0; i < rows; ++i) {
-    for (auto& col : qi_cols) {
-      col.push_back(static_cast<int32_t>(rng.Below(1000)));
-    }
-    sa.push_back(static_cast<int32_t>(rng.Below(4)));
-  }
-  auto table = Table::Create(qi_schema, sa_schema, std::move(qi_cols),
-                             std::move(sa));
   BETALIKE_CHECK(table.ok()) << table.status().ToString();
   return std::make_shared<Table>(std::move(table).value());
 }
@@ -69,12 +48,6 @@ bool SameWorkload(const std::vector<AggregateQuery>& a,
     }
   }
   return true;
-}
-
-std::unique_ptr<Estimator> MakeEstimatorOrDie(const PublishedView& view) {
-  auto estimator = MakeEstimator(view);
-  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
-  return std::move(estimator).value();
 }
 
 TEST(Workload, ValidatesOptions) {
@@ -533,19 +506,6 @@ TEST(Estimator, EvenWorkloadMedianAveragesTheMiddlePair) {
       [&](const AggregateQuery&) { return estimates[next++]; });
   EXPECT_NEAR(error.median_relative_error, 40.0, 1e-12);
   EXPECT_NEAR(error.mean_relative_error, 70.0, 1e-12);
-}
-
-// Mod-k row partition of `table` (coarse boxes with mixed SA), the
-// generalized publication the interface tests answer from.
-GeneralizedTable ModKPublication(const std::shared_ptr<const Table>& table,
-                                 int k) {
-  std::vector<std::vector<int64_t>> ec_rows(k);
-  for (int64_t row = 0; row < table->num_rows(); ++row) {
-    ec_rows[row % k].push_back(row);
-  }
-  auto published = GeneralizedTable::Create(table, std::move(ec_rows));
-  BETALIKE_CHECK(published.ok()) << published.status().ToString();
-  return std::move(published).value();
 }
 
 std::vector<AggregateQuery> MixedWorkload(const TableSchema& schema,
