@@ -14,8 +14,8 @@
 //
 // Knobs (environment):
 //   BENCH_SCALE_MAX_ROWS  cap on the row ladder   (default: 10,000,000)
-//   BENCH_SCALE_BETA      β for every cell        (default: 4.0)
 //   BENCH_SCALE_JSON      output path             (default: BENCH_scale.json)
+// Every cell forms at β = 4.
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -49,17 +49,6 @@ int64_t EnvInt64(const char* name, int64_t fallback) {
   return parsed;
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  BETALIKE_CHECK(errno == 0 && end != value && *end == '\0' && parsed > 0.0)
-      << name << "=\"" << value << "\" is not a positive number";
-  return parsed;
-}
-
 // Current peak resident set (VmHWM) in KiB; 0 when /proc is missing.
 int64_t PeakRssKb() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
@@ -84,19 +73,6 @@ void TryResetPeakRss() {
   if (f == nullptr) return;
   std::fputs("5", f);
   std::fclose(f);
-}
-
-uint64_t EcStructureHash(const std::vector<EquivalenceClass>& ecs) {
-  uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](uint64_t x) {
-    hash ^= x;
-    hash *= 1099511628211ULL;
-  };
-  for (const EquivalenceClass& ec : ecs) {
-    mix(static_cast<uint64_t>(ec.size()));
-    for (int64_t row : ec.rows) mix(static_cast<uint64_t>(row));
-  }
-  return hash;
 }
 
 struct ScaleCell {
@@ -130,7 +106,7 @@ void CheckGoldenHash() {
   BETALIKE_CHECK(published.ok()) << published.status().ToString();
   BETALIKE_CHECK(published->num_ecs() == 1255u)
       << "sharded P=1 EC count " << published->num_ecs();
-  const uint64_t hash = EcStructureHash(published->ecs());
+  const uint64_t hash = bench::EcStructureHash(published->ecs());
   BETALIKE_CHECK(hash == 0x21a40b92ecfa8985ULL)
       << "sharded P=1 diverged from the pinned golden hash";
   std::printf("# golden gate: sharded P=1 @100K hash ok (1255 ecs)\n");
@@ -169,7 +145,7 @@ void WriteJson(const std::string& path, int64_t max_rows, double beta,
 
 int Main() {
   const int64_t max_rows = EnvInt64("BENCH_SCALE_MAX_ROWS", 10000000);
-  const double beta = EnvDouble("BENCH_SCALE_BETA", 4.0);
+  constexpr double kBeta = 4.0;
   const char* json_env = std::getenv("BENCH_SCALE_JSON");
   const std::string json_path =
       (json_env != nullptr && *json_env != '\0') ? json_env
@@ -202,7 +178,7 @@ int Main() {
       uint64_t hash_at_one_thread = 0;
       for (int threads = 1; threads <= max_threads; ++threads) {
         ShardedBurelOptions options;
-        options.burel.beta = beta;
+        options.burel.beta = kBeta;
         options.burel.num_threads = threads;
         options.num_shards = shards;
 
@@ -222,7 +198,7 @@ int Main() {
         cell.peak_rss_kb = PeakRssKb();
         cell.ecs = static_cast<int64_t>(published->ecs.size());
         cell.ail = AverageInfoLossOfEcs(table->schema(), published->ecs);
-        cell.hash = EcStructureHash(published->ecs);
+        cell.hash = bench::EcStructureHash(published->ecs);
         cell.profile = stats;
         cells.push_back(cell);
 
@@ -241,7 +217,7 @@ int Main() {
     }
   }
 
-  WriteJson(json_path, max_rows, beta, cells);
+  WriteJson(json_path, max_rows, kBeta, cells);
   std::printf("# wrote %s\n", json_path.c_str());
   return 0;
 }

@@ -10,10 +10,12 @@
 #define BETALIKE_BENCH_BENCH_UTIL_H_
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "census/census.h"
 #include "common/logging.h"
@@ -117,9 +119,26 @@ inline GeneralizedTable Publish(const std::shared_ptr<const Table>& table,
   return std::move(published).value();
 }
 
-// `rows` <= 0 means the bench uses the scaled default; benches with
-// their own size knob (bench_micro_components) pass the actual count
-// so the header never contradicts the measurements.
+// FNV-1a over the exact equivalence-class structure (sizes and member
+// rows, in emission order): equal hashes mean the publications are
+// identical row for row. The golden tests pin it, and the benches
+// compare publications across thread and shard counts with it.
+inline uint64_t EcStructureHash(const std::vector<EquivalenceClass>& ecs) {
+  uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&hash](uint64_t x) {
+    hash ^= x;
+    hash *= 1099511628211ULL;
+  };
+  for (const EquivalenceClass& ec : ecs) {
+    mix(static_cast<uint64_t>(ec.size()));
+    for (int64_t row : ec.rows) mix(static_cast<uint64_t>(row));
+  }
+  return hash;
+}
+
+// `rows` <= 0 means the bench uses the scaled default; a bench that
+// runs on another size (bench_ablation_design_choices) passes the
+// actual count so the header never contradicts the measurements.
 inline void PrintHeader(const char* experiment, const char* shape,
                         int64_t rows = 0) {
   const std::string rule(62, '=');

@@ -529,8 +529,8 @@ int ResolveFormationThreads(int num_threads) {
   if (num_threads >= 1) return num_threads;
   // Auto: one worker per runnable CPU — and strictly serial on a
   // single-CPU host, where pool fan-out is pure queueing overhead
-  // (BENCH_micro.json showed the parallel path ~3% behind serial on a
-  // 1-core container before this clamp).
+  // (the parallel path measured ~3% behind serial on a 1-core
+  // container before this clamp).
   const int cpus = AvailableConcurrency();
   return cpus <= 1 ? 1 : cpus;
 }

@@ -116,12 +116,6 @@ double NormalizedBoxLoss(const TableSchema& schema,
   return loss / dims;
 }
 
-double NormalizedBoxLoss(const Table& table,
-                         const std::vector<int32_t>& qi_min,
-                         const std::vector<int32_t>& qi_max) {
-  return NormalizedBoxLoss(table.schema(), qi_min, qi_max);
-}
-
 Result<GeneralizedTable> GeneralizedTable::Create(
     std::shared_ptr<const Table> source,
     std::vector<std::vector<int64_t>> ec_rows) {

@@ -95,13 +95,9 @@ class Table {
 // attributes of (box extent / domain extent); single-point domains
 // contribute 0. This single definition is both the AIL integrand
 // (metrics/info_loss) and the objective BUREL's cut search minimizes.
-// The schema overload is the implementation; it exists so sources
-// without a materialized Table (data/chunked_table) score boxes with
-// bit-identical arithmetic.
+// It reads only the schema, so sources without a materialized Table
+// (data/chunked_table) score boxes with the same arithmetic.
 double NormalizedBoxLoss(const TableSchema& schema,
-                         const std::vector<int32_t>& qi_min,
-                         const std::vector<int32_t>& qi_max);
-double NormalizedBoxLoss(const Table& table,
                          const std::vector<int32_t>& qi_min,
                          const std::vector<int32_t>& qi_max);
 

@@ -4,16 +4,12 @@ namespace betalike {
 
 double EcInfoLoss(const GeneralizedTable& published,
                   const EquivalenceClass& ec) {
-  return NormalizedBoxLoss(published.source(), ec.qi_min, ec.qi_max);
+  return NormalizedBoxLoss(published.source().schema(), ec.qi_min,
+                           ec.qi_max);
 }
 
 double AverageInfoLoss(const GeneralizedTable& published) {
-  if (published.num_rows() == 0) return 0.0;
-  double total = 0.0;
-  for (const EquivalenceClass& ec : published.ecs()) {
-    total += EcInfoLoss(published, ec) * static_cast<double>(ec.size());
-  }
-  return total / static_cast<double>(published.num_rows());
+  return AverageInfoLossOfEcs(published.source().schema(), published.ecs());
 }
 
 double AverageInfoLossOfEcs(const TableSchema& schema,

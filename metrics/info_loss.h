@@ -19,10 +19,10 @@ double EcInfoLoss(const GeneralizedTable& published,
 // Tuple-weighted mean of EcInfoLoss over all equivalence classes.
 double AverageInfoLoss(const GeneralizedTable& published);
 
-// The same tuple-weighted mean over a bare (schema, classes) pair —
-// identical arithmetic in identical order — for publications produced
-// without a materialized source Table (core/sharded_burel's chunked
-// path).
+// The same tuple-weighted mean over a bare (schema, classes) pair, for
+// publications produced without a materialized source Table
+// (core/sharded_burel's chunked path). AverageInfoLoss is this over
+// the publication's source schema and classes.
 double AverageInfoLossOfEcs(const TableSchema& schema,
                             const std::vector<EquivalenceClass>& ecs);
 

@@ -6,6 +6,7 @@
 
 #include "baseline/mondrian.h"
 #include "census/census.h"
+#include "core/formation.h"
 #include "metrics/info_loss.h"
 #include "metrics/privacy_audit.h"
 #include "tests/betalike_test.h"
@@ -126,18 +127,24 @@ TEST(Burel, BitIdenticalAcrossThreadCounts) {
   BurelOptions serial;
   serial.beta = 2.0;
   serial.num_threads = 1;
-  auto golden = AnonymizeWithBurel(table, serial);
+  BurelProfile serial_profile;
+  auto golden = AnonymizeWithBurel(table, serial, &serial_profile);
   ASSERT_OK(golden);
+  EXPECT_EQ(serial_profile.threads, 1);
+  EXPECT_EQ(serial_profile.parallel_tasks, 0);
 
+  // num_threads = 0 (auto) must land on the same structure too. Where
+  // it resolves to one thread it is the serial path: no pool tasks.
   const unsigned hw = std::thread::hardware_concurrency();
-  for (int threads : {2, hw == 0 ? 4 : static_cast<int>(hw)}) {
+  for (int threads : {2, hw == 0 ? 4 : static_cast<int>(hw), 0}) {
     BurelOptions options;
     options.beta = 2.0;
     options.num_threads = threads;
     BurelProfile profile;
     auto parallel = AnonymizeWithBurel(table, options, &profile);
     ASSERT_OK(parallel);
-    EXPECT_EQ(profile.threads, threads);
+    EXPECT_EQ(profile.threads, ResolveFormationThreads(threads));
+    if (profile.threads <= 1) EXPECT_EQ(profile.parallel_tasks, 0);
     ASSERT_EQ(parallel->num_ecs(), golden->num_ecs());
     for (size_t i = 0; i < golden->num_ecs(); ++i) {
       const EquivalenceClass& a = golden->ec(i);
@@ -147,15 +154,16 @@ TEST(Burel, BitIdenticalAcrossThreadCounts) {
       EXPECT_TRUE(a.qi_max == b.qi_max);
     }
   }
+}
 
-  // num_threads = 0 resolves to hardware concurrency and must land on
-  // the same structure too.
-  BurelOptions auto_threads;
-  auto_threads.beta = 2.0;
-  auto_threads.num_threads = 0;
-  auto published = AnonymizeWithBurel(table, auto_threads);
-  ASSERT_OK(published);
-  EXPECT_EQ(published->num_ecs(), golden->num_ecs());
+// Explicit worker counts pass through; auto (0) is one worker per
+// runnable CPU, and 1 where there is at most one.
+TEST(Burel, ResolveFormationThreads) {
+  for (int threads : {1, 2, 7, kMaxFormationThreads}) {
+    EXPECT_EQ(ResolveFormationThreads(threads), threads);
+  }
+  const int cpus = AvailableConcurrency();
+  EXPECT_EQ(ResolveFormationThreads(0), cpus <= 1 ? 1 : cpus);
 }
 
 // The paper's headline comparison (Figures 5-7): BUREL loses less

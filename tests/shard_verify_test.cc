@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "census/census.h"
 #include "common/random.h"
 #include "core/burel.h"
@@ -36,21 +37,6 @@ std::shared_ptr<const Table> GoldenCensus(int64_t rows) {
 }
 
 std::shared_ptr<const Table> Census10k() { return GoldenCensus(10000); }
-
-// Same FNV-1a structure hash golden_regression_test pins.
-uint64_t EcStructureHash(const GeneralizedTable& published) {
-  uint64_t hash = 1469598103934665603ULL;
-  const auto mix = [&hash](uint64_t x) {
-    hash ^= x;
-    hash *= 1099511628211ULL;
-  };
-  for (size_t i = 0; i < published.num_ecs(); ++i) {
-    const EquivalenceClass& ec = published.ec(i);
-    mix(static_cast<uint64_t>(ec.size()));
-    for (int64_t row : ec.rows) mix(static_cast<uint64_t>(row));
-  }
-  return hash;
-}
 
 // Brute-force β-feasibility recount: every class's SA histogram obeys
 // every per-value cap, under the same thresholds and the same
@@ -125,7 +111,7 @@ TEST(ShardVerify, P1ReproducesPinned100kHash) {
   auto published = AnonymizeSharded(GoldenCensus(100000), options);
   ASSERT_OK(published);
   EXPECT_EQ(published->num_ecs(), 1255u);
-  EXPECT_EQ(EcStructureHash(*published), 0x21a40b92ecfa8985ULL);
+  EXPECT_EQ(bench::EcStructureHash(published->ecs()), 0x21a40b92ecfa8985ULL);
 }
 
 TEST(ShardVerify, CensusShardCountsKeepInvariants) {
