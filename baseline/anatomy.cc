@@ -130,18 +130,32 @@ Result<GeneralizedTable> AnonymizeWithAnatomy(
 AnatomizedTable AnatomizedTable::FromGrouping(
     const GeneralizedTable& grouped) {
   const Table& source = grouped.source();
+  const int32_t num_values = source.sa_spec().num_values;
   AnatomizedTable out;
   out.source_ = grouped.shared_source();
   out.group_of_row_.assign(source.num_rows(), 0);
-  out.group_offsets_.reserve(grouped.num_ecs() + 1);
-  out.group_offsets_.push_back(0);
-  out.group_sa_.reserve(source.num_rows());
+  out.group_sizes_.reserve(grouped.num_ecs());
+  // Counting pass: group ids, sizes, and the entries per value.
+  out.value_offsets_.assign(static_cast<size_t>(num_values) + 1, 0);
+  for (size_t g = 0; g < grouped.num_ecs(); ++g) {
+    const std::vector<int64_t>& rows = grouped.ec(g).rows;
+    for (int64_t row : rows) {
+      out.group_of_row_[row] = static_cast<int32_t>(g);
+      ++out.value_offsets_[source.sa_value(row) + 1];
+    }
+    out.group_sizes_.push_back(static_cast<int64_t>(rows.size()));
+  }
+  for (int32_t v = 0; v < num_values; ++v) {
+    out.value_offsets_[v + 1] += out.value_offsets_[v];
+  }
+  // Fill pass in group order, so every value's group ids ascend.
+  std::vector<int64_t> next(out.value_offsets_.begin(),
+                            out.value_offsets_.end() - 1);
+  out.value_groups_.resize(static_cast<size_t>(source.num_rows()));
   for (size_t g = 0; g < grouped.num_ecs(); ++g) {
     for (int64_t row : grouped.ec(g).rows) {
-      out.group_of_row_[row] = static_cast<int32_t>(g);
-      out.group_sa_.push_back(source.sa_value(row));
+      out.value_groups_[next[source.sa_value(row)]++] = static_cast<int32_t>(g);
     }
-    out.group_offsets_.push_back(static_cast<int64_t>(out.group_sa_.size()));
   }
   return out;
 }

@@ -16,10 +16,12 @@
 #ifndef BETALIKE_BASELINE_ANATOMY_H_
 #define BETALIKE_BASELINE_ANATOMY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
 #include "data/table.h"
 
@@ -46,25 +48,17 @@ Status ValidateAnatomyOptions(const AnatomyOptions& options);
 Result<GeneralizedTable> AnonymizeWithAnatomy(
     std::shared_ptr<const Table> table, const AnatomyOptions& options);
 
-// Count, Σ v and Σ v² of the SA values v of one group that lie in a
-// range: the ST moments the Anatomy estimators spread across the
-// group's rows.
-struct SaMoments {
-  int64_t count = 0;
-  int64_t sum = 0;
-  int64_t square_sum = 0;
-};
-
 // The separate-table publication built from any group partition: QIT
 // (exact QI values + group id per row, via source() and group_of_row)
-// and ST (the multiset of SA values of each group, stored as one CSR
-// array — the group's entries are contiguous — so the ST costs 4 B per
-// row plus 8 B per group, like Anatomy's own one-row-per-(group, value)
-// table). This is the view the Figure 9 estimator answers from: it
-// reads the ST through GroupSaMoments at most once per group per
-// answer, into a per-query record of what its row visit needs, and not
-// at all for a COUNT or SUM without an SA range (the full-domain SUM
-// records are read once, when the estimator is made).
+// and ST (the multiset of (group, SA value) entries, one per row). The
+// ST is stored value-major: a CSR with one slice per SA value listing
+// the ids of the groups that hold it, ascending and once per holding
+// row, so it costs 4 B per row plus 8 B per value, next to 8 B per
+// group for the sizes. An SA range [lo, hi] is then one contiguous run
+// of entries: ForEachEntryInRange reads only the entries whose value
+// lies in the range, and the Figure 9 estimator scatters their moments
+// into per-group scratch, so an answer reads no ST entry outside its
+// range.
 class AnatomizedTable {
  public:
   // Accepts any partition of the source rows, including groups that
@@ -73,27 +67,34 @@ class AnatomizedTable {
 
   const Table& source() const { return *source_; }
   int64_t num_rows() const { return source_->num_rows(); }
-  size_t num_groups() const { return group_offsets_.size() - 1; }
+  size_t num_groups() const { return group_sizes_.size(); }
   int32_t group_of_row(int64_t row) const { return group_of_row_[row]; }
-  int64_t group_size(size_t group) const {
-    return group_offsets_[group + 1] - group_offsets_[group];
+  int64_t group_size(size_t group) const { return group_sizes_[group]; }
+  int32_t num_values() const {
+    return static_cast<int32_t>(value_offsets_.size()) - 1;
   }
 
-  // The moments of `group`'s SA values in [sa_lo, sa_hi], in one pass
-  // over the group's ST entries. Inclusive; a range outside the SA
-  // domain or an inverted one (sa_lo > sa_hi) selects nothing.
-  SaMoments GroupSaMoments(size_t group, int32_t sa_lo, int32_t sa_hi) const {
-    SaMoments out;
-    const int32_t* begin = group_sa_.data() + group_offsets_[group];
-    const int32_t* end = group_sa_.data() + group_offsets_[group + 1];
-    for (const int32_t* it = begin; it != end; ++it) {
-      const int64_t v = *it;
-      const int64_t in = (v >= sa_lo) & (v <= sa_hi);
-      out.count += in;
-      out.sum += in * v;
-      out.square_sum += in * v * v;
+  // The ST entries of SA value `value` in [0, num_values()): the ids of
+  // the groups holding it, ascending, a group repeated once per row of
+  // it that holds the value.
+  Span<int32_t> groups_with_value(int32_t value) const {
+    return Span<int32_t>(value_groups_.data() + value_offsets_[value],
+                         static_cast<size_t>(value_offsets_[value + 1] -
+                                             value_offsets_[value]));
+  }
+
+  // Calls add(value, group) for every ST entry whose value lies in
+  // [sa_lo, sa_hi], value by value ascending and, within a value, in
+  // ascending group order. Inclusive; the range is clamped to the SA
+  // domain [0, num_values() - 1], so a range outside it or an inverted
+  // one (sa_lo > sa_hi) visits nothing.
+  template <typename Add>
+  void ForEachEntryInRange(int32_t sa_lo, int32_t sa_hi, Add&& add) const {
+    const int32_t lo = std::max(sa_lo, 0);
+    const int32_t hi = std::min(sa_hi, num_values() - 1);
+    for (int32_t value = lo; value <= hi; ++value) {
+      for (int32_t group : groups_with_value(value)) add(value, group);
     }
-    return out;
   }
 
  private:
@@ -101,10 +102,11 @@ class AnatomizedTable {
 
   std::shared_ptr<const Table> source_;
   std::vector<int32_t> group_of_row_;
-  // Group g's SA values are group_sa_[group_offsets_[g],
-  // group_offsets_[g + 1]).
-  std::vector<int64_t> group_offsets_;
-  std::vector<int32_t> group_sa_;
+  std::vector<int64_t> group_sizes_;
+  // Value v's ST entries are value_groups_[value_offsets_[v],
+  // value_offsets_[v + 1]).
+  std::vector<int64_t> value_offsets_;
+  std::vector<int32_t> value_groups_;
 };
 
 }  // namespace betalike

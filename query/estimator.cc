@@ -227,24 +227,36 @@ class GeneralizedEstimator final : public Estimator {
 // predicates are selected exactly (the QIT publishes exact values) and
 // each contributes its group's share of the SA predicate.
 //
-// Every answer is one visit of the QI-matching rows that adds up one
-// record per row, read from the row's group. A query with an SA
-// predicate first fills its own records in one pass over the groups,
-// each holding only what the visit reads: the fraction for COUNT (8 B),
-// the first two moments for SUM (16 B), all three for both (24 B). The
-// per-row variance terms are recomputed from them at every visited row;
-// with contraction off that gives the bits a per-group precomputation
-// would. The full-domain SUM records do not depend on the query, so
-// they are built once, at construction.
+// Every answer is one visit of the QI-matching rows, each adding terms
+// from its group's SA moments. A query with an SA predicate first
+// scatters the count, Σ v and Σ v² of only the ST entries in its range
+// (the ST is value-major, so they are one contiguous run) into
+// per-thread per-group scratch; each visited row then derives its
+// terms from its group's integers and size with the expressions a
+// per-group record would hold — with contraction off, the same bits.
+// The visit's only reads by group are those scratch records: group
+// sizes are copied per row at construction and read in row order. The
+// full-domain SUM records do not depend on the query, so they too are
+// built once, at construction.
 class AnatomizedEstimator final : public Estimator {
  public:
   explicit AnatomizedEstimator(std::shared_ptr<const AnatomizedTable> view)
       : view_(std::move(view)) {
-    const int32_t hi = sa_num_values() - 1;
-    full_domain_sum_ = PerGroup([&](size_t g) {
-      const SumRecord r = SumRecordOf(view_->GroupSaMoments(g, 0, hi), g);
-      return EstimateWithVariance{r.mean, SumVariance(r)};
-    });
+    const size_t num_groups = view_->num_groups();
+    std::vector<int64_t> moments(Width(kSum) * num_groups, 0);
+    Scatter<kSum>(0, sa_num_values() - 1, moments.data());
+    full_domain_sum_.reserve(num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
+      BETALIKE_CHECK(view_->group_size(g) <= INT32_MAX)
+          << "group " << g << " of " << view_->group_size(g) << " rows";
+      full_domain_sum_.push_back(SumTerms(moments[2 * g], moments[2 * g + 1],
+                                          view_->group_size(g)));
+    }
+    row_group_size_.reserve(static_cast<size_t>(view_->num_rows()));
+    for (int64_t row = 0; row < view_->num_rows(); ++row) {
+      row_group_size_.push_back(
+          static_cast<int32_t>(view_->group_size(view_->group_of_row(row))));
+    }
   }
 
   std::string Name() const override { return "anatomized"; }
@@ -268,11 +280,10 @@ class AnatomizedEstimator final : public Estimator {
           CountMatchingRows(view_->num_rows(), QiRanges(query)));
       return out;
     }
-    const std::vector<double> fractions = PerGroup([&](size_t g) {
-      return FractionOf(view_->GroupSaMoments(g, query.sa_lo, query.sa_hi),
-                        g);
-    });
-    return VisitMatchingRows<EstimateWithVariance>(query, fractions);
+    return VisitWithMoments<EstimateWithVariance, kCount>(
+        query, [](const int64_t* m, int64_t size, EstimateWithVariance* out) {
+          AddCount(FractionOf(m[0], size), out);
+        });
   }
 
   // A QIT-matching row's SA value is unknown (the group's linkage is
@@ -283,82 +294,79 @@ class AnatomizedEstimator final : public Estimator {
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
     if (!query.has_sa_predicate()) {
-      return VisitMatchingRows<EstimateWithVariance>(query, full_domain_sum_);
+      return VisitFullDomain<EstimateWithVariance>(
+          query, [](const EstimateWithVariance& r, EstimateWithVariance* out) {
+            AddSum(r, out);
+          });
     }
-    const std::vector<SumRecord> records = PerGroup([&](size_t g) {
-      return SumRecordOf(view_->GroupSaMoments(g, query.sa_lo, query.sa_hi),
-                         g);
-    });
-    return VisitMatchingRows<EstimateWithVariance>(query, records);
+    return VisitWithMoments<EstimateWithVariance, kSum>(
+        query, [](const int64_t* m, int64_t size, EstimateWithVariance* out) {
+          AddSum(SumTerms(m[0], m[1], size), out);
+        });
   }
 
-  // COUNT and SUM from one per-group pass (none without an SA
-  // predicate) and one row visit, each accumulator adding the terms its
-  // own call adds in the same row order.
+  // COUNT and SUM from one scatter (none without an SA predicate) and
+  // one row visit, each accumulator adding the terms its own call adds
+  // in the same row order. Without an SA predicate every matching row
+  // counts 1.0: below 2^53 rows the Σ 1.0 is exactly the no-SA COUNT's
+  // matching-row count.
   CountAndSum EstimateCountAndSumWithUncertainty(
       const AggregateQuery& query) const override {
     if (!query.has_sa_predicate()) {
-      return VisitMatchingRows<CountAndSum>(query, full_domain_sum_);
+      return VisitFullDomain<CountAndSum>(
+          query, [](const EstimateWithVariance& r, CountAndSum* out) {
+            out->count.estimate += 1.0;
+            AddSum(r, &out->sum);
+          });
     }
-    const std::vector<CountSumRecord> records = PerGroup([&](size_t g) {
-      const SaMoments m = view_->GroupSaMoments(g, query.sa_lo, query.sa_hi);
-      return CountSumRecord{FractionOf(m, g), SumRecordOf(m, g)};
-    });
-    return VisitMatchingRows<CountAndSum>(query, records);
+    return VisitWithMoments<CountAndSum, kCount | kSum>(
+        query, [](const int64_t* m, int64_t size, CountAndSum* out) {
+          AddCount(FractionOf(m[0], size), &out->count);
+          AddSum(SumTerms(m[1], m[2], size), &out->sum);
+        });
   }
 
  private:
-  // A group's per-query SUM record: its mean masked value and mean
-  // masked square.
-  struct SumRecord {
-    double mean;
-    double second;
-  };
-  struct CountSumRecord {
-    double fraction;
-    SumRecord sum;
-  };
-
-  double FractionOf(const SaMoments& m, size_t g) const {
-    return static_cast<double>(m.count) /
-           static_cast<double>(view_->group_size(g));
+  // The moments a per-group scratch record holds, by what the answer
+  // reads: the in-range count (kCount), then Σ v and Σ v² (kSum) — 8 /
+  // 16 / 24 B per group for COUNT / SUM / both.
+  enum MomentSet { kCount = 1, kSum = 2 };
+  static constexpr int Width(int moments) {
+    return (moments & kCount ? 1 : 0) + (moments & kSum ? 2 : 0);
   }
-  SumRecord SumRecordOf(const SaMoments& m, size_t g) const {
-    const double inv = 1.0 / static_cast<double>(view_->group_size(g));
-    return {static_cast<double>(m.sum) * inv,
-            static_cast<double>(m.square_sum) * inv};
-  }
-  // Non-negative mathematically; the max guards FP rounding only.
-  static double SumVariance(const SumRecord& r) {
-    return std::max(0.0, r.second - r.mean * r.mean);
+  template <int kMoments>
+  static void AddEntry(int64_t value, int64_t* m) {
+    if (kMoments & kCount) ++m[0];
+    if (kMoments & kSum) {
+      int64_t* sums = m + Width(kMoments & kCount);
+      sums[0] += value;
+      sums[1] += value * value;
+    }
   }
 
-  // The terms one visited row adds, chosen by its record and the answer
-  // it accumulates. COUNT: the Bernoulli mean f and variance f(1-f).
-  static void AddRow(double fraction, EstimateWithVariance* out) {
+  static double FractionOf(int64_t count, int64_t size) {
+    return static_cast<double>(count) / static_cast<double>(size);
+  }
+  // A group's SUM terms: its mean masked value E[v·1] and variance
+  // E[v²·1] - E[v·1]², non-negative mathematically (the max guards FP
+  // rounding only).
+  static EstimateWithVariance SumTerms(int64_t sum, int64_t square_sum,
+                                       int64_t size) {
+    const double inv = 1.0 / static_cast<double>(size);
+    const double mean = static_cast<double>(sum) * inv;
+    const double second = static_cast<double>(square_sum) * inv;
+    return {mean, std::max(0.0, second - mean * mean)};
+  }
+
+  // The terms one visited row adds. COUNT: the Bernoulli mean f and
+  // variance f(1-f). SUM: the group's {mean, variance}.
+  static void AddCount(double fraction, EstimateWithVariance* out) {
     out->estimate += fraction;
     out->variance += fraction * (1.0 - fraction);
   }
-  // SUM, from the two moments or from a precomputed {mean, variance}.
-  static void AddRow(const SumRecord& r, EstimateWithVariance* out) {
-    out->estimate += r.mean;
-    out->variance += SumVariance(r);
-  }
-  static void AddRow(const EstimateWithVariance& r,
-                     EstimateWithVariance* out) {
+  static void AddSum(const EstimateWithVariance& r, EstimateWithVariance* out) {
     out->estimate += r.estimate;
     out->variance += r.variance;
-  }
-  // Both, with and without an SA predicate. Without one every matching
-  // row counts 1.0: below 2^53 rows the Σ 1.0 is exactly the no-SA
-  // COUNT's matching-row count.
-  static void AddRow(const CountSumRecord& r, CountAndSum* out) {
-    AddRow(r.fraction, &out->count);
-    AddRow(r.sum, &out->sum);
-  }
-  static void AddRow(const EstimateWithVariance& r, CountAndSum* out) {
-    out->count.estimate += 1.0;
-    AddRow(r, &out->sum);
   }
 
   // The query's QI predicates as kernel ranges. The SA column is what
@@ -368,28 +376,58 @@ class AnatomizedEstimator final : public Estimator {
     return QueryRanges(view_->source(), query, /*with_sa=*/false);
   }
 
-  // The per-group pass: record(g) for every group, in group order.
-  template <typename Record>
-  auto PerGroup(Record record) const
-      -> std::vector<decltype(record(size_t{0}))> {
-    std::vector<decltype(record(size_t{0}))> out;
-    out.reserve(view_->num_groups());
-    for (size_t g = 0; g < view_->num_groups(); ++g) {
-      out.push_back(record(g));
+  // The calling thread's per-group scratch with its first
+  // `width * num_groups` entries zeroed. There is one buffer per thread
+  // (the estimator is shared by the serving threads), reused by every
+  // answer the thread makes. It is sized for the widest record, and
+  // the old buffer is freed before a larger one is made, so it never
+  // holds two buffers at once.
+  static int64_t* ZeroedScratch(size_t num_groups, int64_t width) {
+    thread_local std::vector<int64_t> scratch;
+    const size_t widest = Width(kCount | kSum) * num_groups;
+    if (scratch.size() < widest) {
+      std::vector<int64_t>().swap(scratch);
+      scratch.resize(widest);
     }
+    std::fill_n(scratch.data(), width * num_groups, 0);
+    return scratch.data();
+  }
+
+  // Adds every ST entry with a value in [sa_lo, sa_hi] to its group's
+  // record, moments[Width(kMoments) * g ...].
+  template <int kMoments>
+  void Scatter(int32_t sa_lo, int32_t sa_hi, int64_t* moments) const {
+    view_->ForEachEntryInRange(sa_lo, sa_hi, [moments](int32_t v, int32_t g) {
+      AddEntry<kMoments>(v, moments + Width(kMoments) * int64_t{g});
+    });
+  }
+
+  // add(full_domain_sum_[g], &out) for each row matching the query's QI
+  // predicates, g its group, in ascending row order.
+  template <typename Out, typename Add>
+  Out VisitFullDomain(const AggregateQuery& query, Add add) const {
+    const AnatomizedTable& view = *view_;
+    const EstimateWithVariance* records = full_domain_sum_.data();
+    Out out;
+    ForEachMatchingRow(view.num_rows(), QiRanges(query), [&](int64_t row) {
+      add(records[view.group_of_row(row)], &out);
+    });
     return out;
   }
 
-  // The row visit every answer makes: AddRow(records[g], &out) for
-  // each row matching the query's QI predicates, g its group, in
-  // ascending row order.
-  template <typename Out, typename Record>
-  Out VisitMatchingRows(const AggregateQuery& query,
-                        const std::vector<Record>& records) const {
+  // Scatters the query's SA-range moments into this thread's scratch,
+  // then calls add(moments[g], size of g, &out) for each row matching
+  // the query's QI predicates, g its group, in ascending row order.
+  template <typename Out, int kMoments, typename Add>
+  Out VisitWithMoments(const AggregateQuery& query, Add add) const {
     const AnatomizedTable& view = *view_;
+    constexpr int64_t kWidth = Width(kMoments);
+    int64_t* moments = ZeroedScratch(view.num_groups(), kWidth);
+    Scatter<kMoments>(query.sa_lo, query.sa_hi, moments);
     Out out;
+    const int32_t* sizes = row_group_size_.data();
     ForEachMatchingRow(view.num_rows(), QiRanges(query), [&](int64_t row) {
-      AddRow(records[view.group_of_row(row)], &out);
+      add(moments + kWidth * view.group_of_row(row), sizes[row], &out);
     });
     return out;
   }
@@ -398,6 +436,9 @@ class AnatomizedEstimator final : public Estimator {
   // Per group: the {mean, variance} a row adds to a SUM without an SA
   // predicate (16 B per group).
   std::vector<EstimateWithVariance> full_domain_sum_;
+  // Per row: the size of its group (4 B per row), so the row visit
+  // reads sizes in row order instead of gathering them by group.
+  std::vector<int32_t> row_group_size_;
 };
 
 // Uniform spread over the boxes of a randomized-response view, with

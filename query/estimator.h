@@ -8,14 +8,14 @@
 //     fraction of its QI box the query covers — the standard
 //     uniform-spread assumption (Figure 8's estimator, now SA-aware).
 //   - Anatomy: exact QI values, each group's SA values — matching rows
-//     contribute their group's matching-SA fraction (Figure 9). Every
-//     answer is at most one per-group pass over the compact ST
-//     (AnatomizedTable::GroupSaMoments), filling a per-query record
-//     of only what the row visit reads, plus one visit of the
-//     QI-matching rows. A COUNT without an SA predicate is the exact
-//     matching-row count, and a SUM without one reads per-group
-//     records precomputed at construction, so neither makes the
-//     per-group pass.
+//     contribute their group's matching-SA fraction (Figure 9). An
+//     answer with an SA predicate scatters the moments of only the ST
+//     entries in its range (the value-major ST keeps them contiguous,
+//     AnatomizedTable::ForEachEntryInRange) into per-thread per-group
+//     scratch, then visits the QI-matching rows once; no answer makes
+//     a pass over all groups. A COUNT without an SA predicate is the
+//     exact matching-row count, and a SUM without one reads per-group
+//     records precomputed at construction.
 //   - Perturbed publications: uniform spread over the boxes plus
 //     reconstruction — the randomized response is inverted in
 //     expectation before counting (Figure 9).

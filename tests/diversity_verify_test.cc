@@ -184,11 +184,13 @@ TEST(NaiveDiversityVerify, RejectsHandBuiltViolations) {
 }
 
 // Checks the separate-table view of `grouped` against a row-by-row
-// recount: group ids and sizes cover the partition, and GroupSaMoments
-// gives the recounted count, Σ v and Σ v² of every group for every
-// [lo, hi] with both bounds in [-2, V + 1] or at an int32 extreme,
-// inverted and out-of-domain ranges included. Returns whether some
-// group repeats an SA value.
+// recount: group ids and sizes cover the partition; every SA value's
+// ST slice lists the groups holding it, ascending, once per holding
+// row; and scattering ForEachEntryInRange's entries gives every group
+// the recounted count, Σ v and Σ v² for every [lo, hi] with both
+// bounds in [-2, V + 1] or at an int32 extreme — zeros for inverted
+// and out-of-domain ranges. Returns whether some group repeats an SA
+// value.
 bool ExpectViewMatchesRecount(const GeneralizedTable& grouped) {
   const Table& source = grouped.source();
   const int32_t num_values = source.sa_spec().num_values;
@@ -198,28 +200,69 @@ bool ExpectViewMatchesRecount(const GeneralizedTable& grouped) {
   const AnatomizedTable view = AnatomizedTable::FromGrouping(grouped);
   EXPECT_EQ(view.num_groups(), grouped.num_ecs());
   EXPECT_EQ(view.num_rows(), source.num_rows());
+  EXPECT_EQ(view.num_values(), num_values);
   bool repeats = false;
+  int64_t total_size = 0;
+  std::vector<std::vector<int32_t>> holders(static_cast<size_t>(num_values));
   for (size_t g = 0; g < grouped.num_ecs(); ++g) {
     const EquivalenceClass& ec = grouped.ec(g);
     EXPECT_EQ(view.group_size(g), ec.size());
+    total_size += view.group_size(g);
     std::vector<int64_t> per_value(static_cast<size_t>(num_values), 0);
     for (int64_t row : ec.rows) {
       EXPECT_EQ(view.group_of_row(row), static_cast<int32_t>(g));
       if (++per_value[source.sa_value(row)] > 1) repeats = true;
+      holders[source.sa_value(row)].push_back(static_cast<int32_t>(g));
     }
-    for (int32_t lo : bounds) {
-      for (int32_t hi : bounds) {
+  }
+  EXPECT_EQ(total_size, source.num_rows());
+  for (int32_t v = 0; v < num_values; ++v) {
+    const Span<int32_t> slice = view.groups_with_value(v);
+    if (std::vector<int32_t>(slice.begin(), slice.end()) != holders[v]) {
+      testing::Fail(__FILE__, __LINE__,
+                    StrFormat("value %d: ST slice of %zu entries differs from "
+                              "the %zu recounted holders",
+                              v, slice.size(), holders[v].size()));
+    }
+  }
+
+  struct Moments {
+    int64_t count = 0;
+    int64_t sum = 0;
+    int64_t square_sum = 0;
+  };
+  std::vector<Moments> scattered(grouped.num_ecs());
+  for (int32_t lo : bounds) {
+    for (int32_t hi : bounds) {
+      std::fill(scattered.begin(), scattered.end(), Moments{});
+      std::pair<int32_t, int32_t> last = {-1, -1};
+      bool ordered = true;
+      view.ForEachEntryInRange(lo, hi, [&](int32_t v, int32_t g) {
+        ordered &= std::make_pair(v, g) >= last;
+        last = {v, g};
+        scattered[g].count += 1;
+        scattered[g].sum += v;
+        scattered[g].square_sum += int64_t{v} * v;
+      });
+      if (!ordered) {
+        testing::Fail(__FILE__, __LINE__,
+                      StrFormat("range [%d, %d]: entries out of (value, "
+                                "group) order",
+                                lo, hi));
+        return repeats;
+      }
+      for (size_t g = 0; g < grouped.num_ecs(); ++g) {
         int64_t count = 0;
         int64_t sum = 0;
         int64_t square_sum = 0;
-        for (int64_t row : ec.rows) {
+        for (int64_t row : grouped.ec(g).rows) {
           const int64_t v = source.sa_value(row);
           if (v < lo || v > hi) continue;
           ++count;
           sum += v;
           square_sum += v * v;
         }
-        const SaMoments moments = view.GroupSaMoments(g, lo, hi);
+        const Moments& moments = scattered[g];
         if (moments.count != count || moments.sum != sum ||
             moments.square_sum != square_sum) {
           testing::Fail(

@@ -1,7 +1,8 @@
 // Test-only reference estimators: the plain scanning formulas every
 // publication shape's Estimator must reproduce *bitwise* — one pass
 // over every equivalence class (or every row), with no index, no
-// prune, no per-group records, and no row-selection kernel. The
+// prune, and no row-selection kernel; Anatomy's group moments are
+// recounted from the source rows, never read from the ST. The
 // fig8/fig9 goldens depend on that identity, so tests compare against
 // these with EXPECT_EQ on raw doubles, not EXPECT_NEAR.
 #ifndef BETALIKE_TESTS_ESTIMATOR_ORACLE_H_
@@ -71,13 +72,47 @@ inline bool MatchesQi(const Table& source, int64_t row,
   return true;
 }
 
+// Count, Σ v and Σ v² of one group's SA values v in a range.
+struct SaMoments {
+  int64_t count = 0;
+  int64_t sum = 0;
+  int64_t square_sum = 0;
+};
+
+// Every group's size and the moments of its SA values in [lo, hi],
+// recounted from the source rows through group_of_row and the SA
+// column — not from the ST under test.
+struct GroupRecount {
+  std::vector<int64_t> size;
+  std::vector<SaMoments> moments;
+};
+
+inline GroupRecount RecountGroups(const AnatomizedTable& view, int32_t lo,
+                                  int32_t hi) {
+  const Table& source = view.source();
+  GroupRecount out;
+  out.size.assign(view.num_groups(), 0);
+  out.moments.assign(view.num_groups(), SaMoments{});
+  for (int64_t row = 0; row < source.num_rows(); ++row) {
+    const int32_t g = view.group_of_row(row);
+    ++out.size[g];
+    const int64_t v = source.sa_value(row);
+    if (v < lo || v > hi) continue;
+    ++out.moments[g].count;
+    out.moments[g].sum += v;
+    out.moments[g].square_sum += v * v;
+  }
+  return out;
+}
+
 // Anatomy COUNT: every row matching the QI predicates contributes its
 // group's SA-range fraction f with Bernoulli variance f(1-f) (1 and 0
-// without an SA predicate), the group's ST entries re-read at every
-// row.
+// without an SA predicate).
 inline EstimateWithVariance AnatomizedCount(const AnatomizedTable& view,
                                             const AggregateQuery& query) {
   const Table& source = view.source();
+  const GroupRecount groups =
+      RecountGroups(view, query.sa_lo, query.sa_hi);
   EstimateWithVariance out;
   for (int64_t row = 0; row < source.num_rows(); ++row) {
     if (!MatchesQi(source, row, query)) continue;
@@ -86,10 +121,8 @@ inline EstimateWithVariance AnatomizedCount(const AnatomizedTable& view,
       continue;
     }
     const int32_t g = view.group_of_row(row);
-    const double fraction =
-        static_cast<double>(
-            view.GroupSaMoments(g, query.sa_lo, query.sa_hi).count) /
-        static_cast<double>(view.group_size(g));
+    const double fraction = static_cast<double>(groups.moments[g].count) /
+                            static_cast<double>(groups.size[g]);
     out.estimate += fraction;
     out.variance += fraction * (1.0 - fraction);
   }
@@ -109,12 +142,13 @@ inline EstimateWithVariance AnatomizedSum(const AnatomizedTable& view,
     lo = query.sa_lo;
     hi = query.sa_hi;
   }
+  const GroupRecount groups = RecountGroups(view, lo, hi);
   EstimateWithVariance out;
   for (int64_t row = 0; row < source.num_rows(); ++row) {
     if (!MatchesQi(source, row, query)) continue;
     const int32_t g = view.group_of_row(row);
-    const SaMoments moments = view.GroupSaMoments(g, lo, hi);
-    const double inv = 1.0 / static_cast<double>(view.group_size(g));
+    const SaMoments& moments = groups.moments[g];
+    const double inv = 1.0 / static_cast<double>(groups.size[g]);
     const double mean = static_cast<double>(moments.sum) * inv;
     const double second = static_cast<double>(moments.square_sum) * inv;
     out.estimate += mean;

@@ -177,19 +177,23 @@ TEST(Workload, PreciseCountsMatchRowWiseMatches) {
 }
 
 // The row kernel on raw columns: for sizes around the 8-byte mask
-// word and the 2048-row block, CountMatchingRows, the visits of
-// ForEachMatchingRow and a naive per-row loop agree, and the visits
-// are strictly ascending. Range sets cover no ranges, an inverted
-// range, every row matching (every mask word all set), no row
-// matching, and seeded random ranges.
+// group, the 64-row bit word and the 2048-row block, CountMatchingRows,
+// the visits of ForEachMatchingRow and a naive per-row loop agree, and
+// the visits are strictly ascending. Range sets cover no ranges, an
+// inverted range, every row matching (every bit word all set), no row
+// matching, whole 64-row words alternately all set and all clear, and
+// seeded random ranges.
 TEST(RowFilter, CountAndVisitsMatchNaiveScan) {
-  for (int64_t n : {0, 1, 7, 8, 9, 2047, 2048, 2049, 4103}) {
+  for (int64_t n :
+       {0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 2047, 2048, 2049, 4103}) {
     Rng rng(static_cast<uint64_t>(n) + 17);
     std::vector<int32_t> a(static_cast<size_t>(n));
     std::vector<int32_t> b(static_cast<size_t>(n));
+    std::vector<int32_t> word_parity(static_cast<size_t>(n));
     for (int64_t row = 0; row < n; ++row) {
       a[row] = static_cast<int32_t>(rng.Below(10));
       b[row] = static_cast<int32_t>(rng.Below(10));
+      word_parity[row] = static_cast<int32_t>((row / 64) % 2);
     }
     std::vector<std::vector<ColumnRange>> range_sets = {
         {},
@@ -198,6 +202,8 @@ TEST(RowFilter, CountAndVisitsMatchNaiveScan) {
         {{b.data(), 10, 20}},
         {{a.data(), 0, 0}},
         {{a.data(), 2, 7}, {b.data(), 0, 4}},
+        {{word_parity.data(), 0, 0}},
+        {{word_parity.data(), 1, 1}, {a.data(), 0, 9}},
     };
     for (int i = 0; i < 4; ++i) {
       const int32_t lo = static_cast<int32_t>(rng.Below(10));
