@@ -17,15 +17,12 @@
 // generalization (visible at low lambda, growing as retention falls,
 // vanishing into estimator noise elsewhere), and how much
 // reconstruction claws back.
-#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "bench/scheme_driver.h"
 #include "perturb/perturbation.h"
-#include "query/estimator.h"
 #include "query/published_view.h"
-#include "query/workload.h"
 
 namespace betalike {
 namespace {
@@ -39,73 +36,29 @@ constexpr int kAnatomyL = 4;
 // registry-constructed schemes on one table and wrapped into
 // Estimators through the unified interface — one estimator per
 // publication shape (generalized, anatomized, perturbed ×2).
-struct Release {
-  std::unique_ptr<Estimator> burel;
-  std::unique_ptr<Estimator> anatomy;
-  std::unique_ptr<Estimator> pert_hi;
-  std::unique_ptr<Estimator> pert_lo;
-};
-
-std::unique_ptr<Estimator> MakeEstimatorOrDie(PublishedView view) {
-  auto estimator = MakeEstimator(view);
-  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
-  return std::move(estimator).value();
-}
-
-Release MakeRelease(const std::shared_ptr<const Table>& table, double beta) {
-  GeneralizedTable burel = bench::Publish(table, {"burel", beta});
-  const GeneralizedTable grouped =
-      bench::Publish(table, {"anatomy", static_cast<double>(kAnatomyL)});
-
-  PerturbOptions popts;
-  popts.seed = kPerturbSeed;
-  popts.retention = kRetentionHi;
-  auto hi = PerturbSaWithinEcs(burel, popts);
-  BETALIKE_CHECK(hi.ok()) << hi.status().ToString();
-  popts.retention = kRetentionLo;
-  auto lo = PerturbSaWithinEcs(burel, popts);
-  BETALIKE_CHECK(lo.ok()) << lo.status().ToString();
-
-  return Release{
-      MakeEstimatorOrDie(PublishedView::Generalized(std::move(burel))),
-      MakeEstimatorOrDie(
-          PublishedView::Anatomized(AnatomizedTable::FromGrouping(grouped))),
-      MakeEstimatorOrDie(PublishedView::Perturbed(std::move(hi).value())),
-      MakeEstimatorOrDie(PublishedView::Perturbed(std::move(lo).value())),
-  };
-}
-
-std::vector<std::string> PanelHeader(const std::string& x_header) {
-  return {x_header, "BUREL", StrFormat("Anatomy(l=%d)", kAnatomyL),
-          StrFormat("perturb(p=%.1f)", kRetentionHi),
-          StrFormat("perturb(p=%.1f)", kRetentionLo)};
-}
-
-std::vector<std::string> ErrorRow(
-    const std::string& x, const std::vector<int64_t>& truth,
-    const Release& release, const std::vector<AggregateQuery>& workload) {
-  const auto median = [&](const Estimator& estimator) {
-    return EvaluateWorkloadWithTruth(truth, workload, estimator)
-        .median_relative_error;
-  };
-  return {x, StrFormat("%.1f%%", median(*release.burel)),
-          StrFormat("%.1f%%", median(*release.anatomy)),
-          StrFormat("%.1f%%", median(*release.pert_hi)),
-          StrFormat("%.1f%%", median(*release.pert_lo))};
-}
-
-std::vector<AggregateQuery> MakeWorkload(const TableSchema& schema,
-                                         int lambda, double theta,
-                                         uint64_t seed) {
-  WorkloadOptions options;
-  options.num_queries = bench::DefaultQueries();
-  options.lambda = lambda;
-  options.selectivity = theta;
-  options.include_sa = true;  // the fig9 twist on the fig8 workloads
-  options.seed = seed;
-  auto workload = GenerateWorkload(schema, options);
-  BETALIKE_CHECK(workload.ok()) << workload.status().ToString();
-  return std::move(workload).value();
+std::vector<bench::NamedEstimator> Release(
+    const std::shared_ptr<const Table>& table, double beta) {
+  const GeneralizedTable burel = bench::Publish(table, {"burel", beta});
+  const PublishedView anatomized =
+      PublishedView::Anatomized(AnatomizedTable::FromGrouping(bench::Publish(
+          table, {"anatomy", static_cast<double>(kAnatomyL)})));
+  std::vector<bench::NamedEstimator> columns;
+  columns.push_back(
+      {"BUREL", bench::MakeEstimatorOrDie(PublishedView::Generalized(burel))});
+  columns.push_back({StrFormat("Anatomy(l=%d)", kAnatomyL),
+                     bench::MakeEstimatorOrDie(anatomized)});
+  for (double retention : {kRetentionHi, kRetentionLo}) {
+    PerturbOptions popts;
+    popts.seed = kPerturbSeed;
+    popts.retention = retention;
+    auto perturbed = PerturbSaWithinEcs(burel, popts);
+    BETALIKE_CHECK(perturbed.ok()) << perturbed.status().ToString();
+    const PublishedView view =
+        PublishedView::Perturbed(std::move(perturbed).value());
+    columns.push_back({StrFormat("perturb(p=%.1f)", retention),
+                       bench::MakeEstimatorOrDie(view)});
+  }
+  return columns;
 }
 
 void Run() {
@@ -117,80 +70,12 @@ void Run() {
       "falls; Anatomy's exact-QI answers stay flat near the noise "
       "floor (the synthetic SA is independent of the QIs) while "
       "fig4-style audits put its realb near 60");
-  auto full = bench::MakeCensus(bench::DefaultRows(), /*qi_prefix=*/5);
-
-  // Panels (a), (d), and (b)'s beta = 4 row all answer from the same
-  // (full table, beta = 4) releases; derive that bundle once.
-  const Release release4 = MakeRelease(full, 4.0);
-
-  {  // (a) vary lambda; QI = 5, theta = 0.1, beta = 4.
-    const auto header = PanelHeader("lambda");
-    TextTable out(header);
-    for (int lambda = 1; lambda <= 5; ++lambda) {
-      const auto workload =
-          MakeWorkload(full->schema(), lambda, 0.1, 500 + lambda);
-      out.AddRow(ErrorRow(StrFormat("%d", lambda),
-                          PreciseCounts(*full, workload), release4,
-                          workload));
-    }
-    std::printf("--- Fig. 9(a): vary lambda (QI=5, theta=0.1, beta=4) ---\n");
-    std::printf("%s\n", out.ToString().c_str());
-  }
-
-  {  // (b) vary beta; lambda = 3, theta = 0.1, QI = 5. The workload
-     // and its ground truth are beta-independent: scan once.
-    const auto workload = MakeWorkload(full->schema(), 3, 0.1, 600);
-    const std::vector<int64_t> truth = PreciseCounts(*full, workload);
-    const auto header = PanelHeader("beta");
-    TextTable out(header);
-    for (double beta : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-      std::unique_ptr<Release> fresh;
-      if (beta != 4.0) {
-        fresh = std::make_unique<Release>(MakeRelease(full, beta));
-      }
-      const Release& release = fresh ? *fresh : release4;
-      out.AddRow(ErrorRow(StrFormat("%.0f", beta), truth, release, workload));
-    }
-    std::printf("--- Fig. 9(b): vary beta (lambda=3, theta=0.1) ---\n");
-    std::printf("%s\n", out.ToString().c_str());
-  }
-
-  {  // (c) vary QI size; beta = 4, lambda = min(QI, 3).
-    const auto header = PanelHeader("QI");
-    TextTable out(header);
-    for (int qi = 1; qi <= 5; ++qi) {
-      std::shared_ptr<const Table> table = full;
-      std::unique_ptr<Release> fresh;
-      if (qi < full->num_qi()) {
-        auto view = full->WithQiPrefix(qi);
-        BETALIKE_CHECK(view.ok()) << view.status().ToString();
-        table = std::make_shared<Table>(std::move(view).value());
-        fresh = std::make_unique<Release>(MakeRelease(table, 4.0));
-      }
-      const Release& release = fresh ? *fresh : release4;
-      const auto workload =
-          MakeWorkload(table->schema(), std::min(qi, 3), 0.1, 700 + qi);
-      out.AddRow(ErrorRow(StrFormat("%d", qi),
-                          PreciseCounts(*table, workload), release,
-                          workload));
-    }
-    std::printf("--- Fig. 9(c): vary QI size (theta=0.1, beta=4) ---\n");
-    std::printf("%s\n", out.ToString().c_str());
-  }
-
-  {  // (d) vary theta; lambda = 3, beta = 4, QI = 5.
-    const auto header = PanelHeader("theta");
-    TextTable out(header);
-    for (double theta : {0.05, 0.10, 0.15, 0.20, 0.25}) {
-      const auto workload = MakeWorkload(
-          full->schema(), 3, theta, 800 + static_cast<int>(theta * 100));
-      out.AddRow(ErrorRow(StrFormat("%.2f", theta),
-                          PreciseCounts(*full, workload), release4,
-                          workload));
-    }
-    std::printf("--- Fig. 9(d): vary theta (lambda=3, beta=4) ---\n");
-    std::printf("%s\n", out.ToString().c_str());
-  }
+  bench::QueryErrorSweepOptions options;
+  options.figure = 9;
+  options.seed_base = 500;
+  options.include_sa = true;  // the fig9 twist on the fig8 workloads
+  options.release = Release;
+  bench::RunQueryErrorSweep(options);
 }
 
 }  // namespace

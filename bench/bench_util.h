@@ -13,16 +13,23 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "census/census.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "core/anonymizer.h"
+#include "core/formation.h"
 #include "data/table.h"
+#include "query/estimator.h"
+#include "query/published_view.h"
+#include "query/workload.h"
 
 namespace betalike {
 namespace bench {
@@ -117,6 +124,40 @@ inline GeneralizedTable Publish(const std::shared_ptr<const Table>& table,
   BETALIKE_CHECK(published.ok())
       << scheme->Name() << ": " << published.status().ToString();
   return std::move(published).value();
+}
+
+// MakeEstimator with CHECK-fail error handling, shared-owned so the
+// estimator can go straight to a QueryServer batch.
+inline std::shared_ptr<const Estimator> MakeEstimatorOrDie(
+    const PublishedView& view) {
+  auto estimator = MakeEstimator(view);
+  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
+  return std::move(estimator).value();
+}
+
+// PreciseCounts of `workload` over `table`, one ThreadPool task per
+// contiguous slice (AvailableConcurrency() of them), concatenated in
+// order. Each query's scan is PreciseCounts' own, so the truth equals
+// one serial call.
+inline std::vector<int64_t> PreciseCountsOnPool(
+    const Table& table, const std::vector<AggregateQuery>& workload) {
+  const size_t slices = static_cast<size_t>(AvailableConcurrency());
+  ThreadPool pool(static_cast<int>(slices));
+  std::vector<std::future<std::vector<int64_t>>> parts;
+  for (size_t s = 0; s < slices; ++s) {
+    const auto begin = workload.begin() + workload.size() * s / slices;
+    const auto end = workload.begin() + workload.size() * (s + 1) / slices;
+    parts.push_back(pool.Submit([&table, begin, end] {
+      return PreciseCounts(table, std::vector<AggregateQuery>(begin, end));
+    }));
+  }
+  std::vector<int64_t> truth;
+  truth.reserve(workload.size());
+  for (auto& part : parts) {
+    const std::vector<int64_t> counts = part.get();
+    truth.insert(truth.end(), counts.begin(), counts.end());
+  }
+  return truth;
 }
 
 // FNV-1a over the exact equivalence-class structure (sizes and member

@@ -1,12 +1,17 @@
-// Shared anonymize-and-measure driver for the paper benches. Each
-// figure bench used to hand-roll the same loop — construct each scheme,
-// time Anonymize, compute AIL, format a TextTable — so adding a scheme
-// or a figure meant editing every copy. Now a bench is just its sweep
-// definition: a list of SweepPoints (x cell, table, AnonymizerSpecs)
-// handed to the driver, which resolves schemes through the registry.
+// Shared sweep drivers for the paper benches, so a figure bench is just
+// its sweep definition:
+//   - RunAilTimeSweep (fig4–7): a list of SweepPoints (x cell, table,
+//     AnonymizerSpecs), whose schemes the driver resolves through the
+//     registry, times, and measures (AIL, achieved β / t).
+//   - RunQueryErrorSweep (fig8–9): a release factory; the driver prints
+//     the four query-error panels (vary λ, β, QI size, θ), answering
+//     every COUNT workload through one QueryServer and scoring the
+//     served answers against the raw table's truth.
 #ifndef BETALIKE_BENCH_SCHEME_DRIVER_H_
 #define BETALIKE_BENCH_SCHEME_DRIVER_H_
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +19,7 @@
 #include "bench/bench_util.h"
 #include "core/anonymizer.h"
 #include "data/table.h"
+#include "query/estimator.h"
 
 namespace betalike {
 namespace bench {
@@ -81,6 +87,32 @@ struct AilTimeSweepOptions {
 // time_s(scheme)... table to stdout.
 void RunAilTimeSweep(const std::vector<SweepPoint>& points,
                      const AilTimeSweepOptions& options);
+
+// One column of a query-error panel: its header and its estimator.
+struct NamedEstimator {
+  std::string name;
+  std::shared_ptr<const Estimator> estimator;
+};
+
+struct QueryErrorSweepOptions {
+  int figure = 8;            // panel titles read "Fig. <figure>(a)" ...
+  uint64_t seed_base = 100;  // panels (a)–(d) seed from base + 0/100/200/300
+  bool include_sa = false;   // every query also gets an SA range predicate
+  // The named estimators of one (table, β) release, in column order.
+  std::function<std::vector<NamedEstimator>(
+      const std::shared_ptr<const Table>& table, double beta)>
+      release;
+};
+
+// The fig8/fig9 shape on DefaultRows() CENSUS rows with 5 QIs: four
+// panels of median relative COUNT(*) error — (a) vary λ at θ = 0.1,
+// β = 4; (b) vary β at λ = 3; (c) vary QI size at λ = min(QI, 3);
+// (d) vary θ at λ = 3, β = 4. The full-table β = 4 release answers
+// (a), (d), (b)'s β = 4 row and (c)'s QI = 5 row. Every row is served
+// through one QueryServer with AvailableConcurrency() workers; served
+// COUNT estimates are bitwise Estimator::Estimate, so the printed
+// tables do not depend on the worker count.
+void RunQueryErrorSweep(const QueryErrorSweepOptions& options);
 
 }  // namespace bench
 }  // namespace betalike

@@ -611,24 +611,22 @@ Result<std::unique_ptr<Estimator>> MakeEstimator(const PublishedView& view) {
   return Status::Internal("unreachable PublishedView kind");
 }
 
-WorkloadError EvaluateWorkloadWithTruth(
-    const std::vector<int64_t>& truth,
-    const std::vector<AggregateQuery>& workload,
-    const std::function<double(const AggregateQuery&)>& estimate) {
-  BETALIKE_CHECK(truth.size() == workload.size())
-      << "truth has " << truth.size() << " counts for a workload of "
-      << workload.size() << " queries";
+WorkloadError EvaluateWorkloadWithTruth(const std::vector<int64_t>& truth,
+                                        const std::vector<double>& estimates) {
+  BETALIKE_CHECK(truth.size() == estimates.size())
+      << "truth has " << truth.size() << " counts for " << estimates.size()
+      << " estimates";
   WorkloadError out;
-  out.num_queries = static_cast<int>(workload.size());
-  if (workload.empty()) return out;
+  out.num_queries = static_cast<int>(estimates.size());
+  if (estimates.empty()) return out;
 
   std::vector<double> errors;
-  errors.reserve(workload.size());
+  errors.reserve(estimates.size());
   double sum = 0.0;
-  for (size_t i = 0; i < workload.size(); ++i) {
+  for (size_t i = 0; i < estimates.size(); ++i) {
     const double actual = static_cast<double>(truth[i]);
-    const double error = 100.0 * std::fabs(estimate(workload[i]) - actual) /
-                         std::max(actual, 1.0);
+    const double error =
+        100.0 * std::fabs(estimates[i] - actual) / std::max(actual, 1.0);
     errors.push_back(error);
     sum += error;
   }
@@ -644,14 +642,6 @@ WorkloadError EvaluateWorkloadWithTruth(
   }
   out.median_relative_error = median;
   return out;
-}
-
-WorkloadError EvaluateWorkloadWithTruth(
-    const std::vector<int64_t>& truth,
-    const std::vector<AggregateQuery>& workload, const Estimator& estimator) {
-  return EvaluateWorkloadWithTruth(
-      truth, workload,
-      [&estimator](const AggregateQuery& q) { return estimator.Estimate(q); });
 }
 
 }  // namespace betalike

@@ -38,7 +38,6 @@
 #define BETALIKE_QUERY_ESTIMATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -162,20 +161,12 @@ struct WorkloadError {
   int num_queries = 0;
 };
 
-// Evaluates `estimate` on every workload query against the precomputed
-// `truth` counts (from PreciseCounts on the raw table). The median of
-// an even-sized workload is the mean of the two middle errors.
-// CHECK-fails if `truth` and `workload` sizes differ.
-WorkloadError EvaluateWorkloadWithTruth(
-    const std::vector<int64_t>& truth,
-    const std::vector<AggregateQuery>& workload,
-    const std::function<double(const AggregateQuery&)>& estimate);
-
-// As above over the unified interface: the fig8/fig9 benches evaluate
-// every publication shape through this one overload.
-WorkloadError EvaluateWorkloadWithTruth(
-    const std::vector<int64_t>& truth,
-    const std::vector<AggregateQuery>& workload, const Estimator& estimator);
+// Scores `estimates[i]` against `truth[i]` (PreciseCounts on the raw
+// table) for every query of a workload. The median of an even-sized
+// workload is the mean of the two middle errors; an empty one scores
+// zero. CHECK-fails if the two sizes differ.
+WorkloadError EvaluateWorkloadWithTruth(const std::vector<int64_t>& truth,
+                                        const std::vector<double>& estimates);
 
 }  // namespace betalike
 

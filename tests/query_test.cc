@@ -313,11 +313,11 @@ TEST(Estimator, MedianAndMeanCrossCheckedAgainstBruteForce) {
   ASSERT_OK(workload);
   const std::vector<int64_t> truth = PreciseCounts(*table, *workload);
 
-  const auto estimate = [&](const AggregateQuery& query) {
-    return oracle::Generalized(*published, query);
-  };
-  const WorkloadError error =
-      EvaluateWorkloadWithTruth(truth, *workload, estimate);
+  std::vector<double> estimates;
+  for (const AggregateQuery& query : *workload) {
+    estimates.push_back(oracle::Generalized(*published, query));
+  }
+  const WorkloadError error = EvaluateWorkloadWithTruth(truth, estimates);
   EXPECT_EQ(error.num_queries, 101);
 
   // Brute force: recount the truth row by row, recompute every error,
@@ -331,8 +331,7 @@ TEST(Estimator, MedianAndMeanCrossCheckedAgainstBruteForce) {
     }
     ASSERT_EQ(recount, truth[i]);
     const double err =
-        100.0 * std::fabs(estimate((*workload)[i]) -
-                          static_cast<double>(recount)) /
+        100.0 * std::fabs(estimates[i] - static_cast<double>(recount)) /
         std::max(static_cast<double>(recount), 1.0);
     errors.push_back(err);
     sum += err;
@@ -494,24 +493,20 @@ TEST(Estimator, AnatomizedMatchesHandComputedGroupFractions) {
 }
 
 TEST(Estimator, EvenWorkloadMedianAveragesTheMiddlePair) {
-  // Four queries with hand-pickable errors: truth {10, 10, 10, 10},
-  // estimates {10, 12, 16, 30} -> errors {0%, 20%, 60%, 200%}, median
-  // (20 + 60) / 2 = 40%.
-  const auto table = SmallCensus(100);
-  WorkloadOptions options;
-  options.num_queries = 4;
-  options.lambda = 1;
-  options.seed = 29;
-  auto workload = GenerateWorkload(table->schema(), options);
-  ASSERT_OK(workload);
-  const std::vector<int64_t> truth = {10, 10, 10, 10};
-  const double estimates[] = {10.0, 12.0, 16.0, 30.0};
-  size_t next = 0;
-  const WorkloadError error = EvaluateWorkloadWithTruth(
-      truth, *workload,
-      [&](const AggregateQuery&) { return estimates[next++]; });
+  // Truth {10, 10, 10, 10}, estimates {10, 12, 16, 30} -> errors
+  // {0%, 20%, 60%, 200%}, median (20 + 60) / 2 = 40%.
+  const WorkloadError error =
+      EvaluateWorkloadWithTruth({10, 10, 10, 10}, {10, 12, 16, 30});
+  EXPECT_EQ(error.num_queries, 4);
   EXPECT_NEAR(error.median_relative_error, 40.0, 1e-12);
   EXPECT_NEAR(error.mean_relative_error, 70.0, 1e-12);
+}
+
+TEST(Estimator, EmptyWorkloadScoresZero) {
+  const WorkloadError error = EvaluateWorkloadWithTruth({}, {});
+  EXPECT_EQ(error.num_queries, 0);
+  EXPECT_EQ(error.median_relative_error, 0.0);
+  EXPECT_EQ(error.mean_relative_error, 0.0);
 }
 
 std::vector<AggregateQuery> MixedWorkload(const TableSchema& schema,

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/span.h"
+#include "core/formation.h"
 #include "perturb/perturbation.h"
 #include "query/estimator.h"
 #include "query/published_view.h"
@@ -285,7 +286,7 @@ double CiCoverage(const std::vector<ServedAnswer>& answers,
 
 // Serves the COUNT workload `options` describes over `table`'s schema
 // on a 2-worker one-epoch server and returns the coverage of its
-// PreciseCounts ground truth.
+// PreciseCounts ground truth (scanned on a pool, in query slices).
 double ServedCountCoverage(const std::shared_ptr<const Estimator>& estimator,
                            const Table& table, const WorkloadOptions& options) {
   QueryServerOptions server_options;
@@ -296,7 +297,7 @@ double ServedCountCoverage(const std::shared_ptr<const Estimator>& estimator,
   BETALIKE_CHECK(workload.ok()) << workload.status().ToString();
   const std::vector<ServedAnswer> answers =
       (*server)->AnswerBatch(CountRequests(*workload)).value();
-  return CiCoverage(answers, PreciseCounts(table, *workload));
+  return CiCoverage(answers, bench::PreciseCountsOnPool(table, *workload));
 }
 
 TEST(QueryServer, CoverageNearNominalWhereModelHolds) {
@@ -493,13 +494,22 @@ std::vector<ServedRequest> MixedRequests(
 }
 
 TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
+  // Every served aggregate is bitwise the estimator's own method, on
+  // all three publication shapes of one table (fig9's columns, whose
+  // golden tables are served COUNT answers) and at 1 worker and
+  // AvailableConcurrency() workers.
   const auto table = UniformWideTable(3000, /*seed=*/33);
-  const auto estimator = MakeEstimatorOrDie(
-      PublishedView::Generalized(ModKPublication(table, 9)));
-  auto server = EpochServer::Create(0, estimator, QueryServerOptions());
-  ASSERT_OK(server);
-  const double z =
-      *NormalCriticalValue((*server)->query_server().confidence());
+  const GeneralizedTable published = ModKPublication(table, 9);
+  PerturbOptions perturb_options;
+  perturb_options.retention = 0.8;
+  perturb_options.seed = 35;
+  auto perturbed = PerturbSaWithinEcs(published, perturb_options);
+  ASSERT_OK(perturbed);
+  const std::shared_ptr<const Estimator> estimators[] = {
+      MakeEstimatorOrDie(PublishedView::Generalized(published)),
+      MakeEstimatorOrDie(
+          PublishedView::Anatomized(AnatomizedTable::FromGrouping(published))),
+      MakeEstimatorOrDie(PublishedView::Perturbed(*perturbed))};
 
   WorkloadOptions options;
   options.num_queries = 30;
@@ -509,39 +519,49 @@ TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
   auto workload = GenerateWorkload(table->schema(), options);
   ASSERT_OK(workload);
   const std::vector<ServedRequest> requests =
-      MixedRequests(*workload, estimator->sa_num_values());
+      MixedRequests(*workload, table->sa_spec().num_values);
 
-  const std::vector<ServedAnswer> answers =
-      (*server)->AnswerBatch(requests).value();
-  ASSERT_EQ(answers.size(), requests.size());
+  for (int workers : {1, AvailableConcurrency()}) {
+    QueryServerOptions server_options;
+    server_options.num_workers = workers;
+    auto server = QueryServer::Create(server_options);
+    ASSERT_OK(server);
+    const double z = *NormalCriticalValue((*server)->confidence());
+    for (const std::shared_ptr<const Estimator>& estimator : estimators) {
+      const std::vector<ServedAnswer> answers =
+          (*server)->AnswerBatch(estimator, requests).value();
+      ASSERT_EQ(answers.size(), requests.size());
 
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const ServedRequest& request = requests[i];
-    EstimateWithVariance expected;
-    bool integer_valued = true;
-    switch (request.kind) {
-      case AggregateKind::kCount:
-        expected = estimator->EstimateWithUncertainty(request.query);
-        break;
-      case AggregateKind::kSum:
-        expected = estimator->EstimateSumWithUncertainty(request.query);
-        break;
-      case AggregateKind::kAvg:
-        expected = estimator->EstimateAvgWithUncertainty(request.query);
-        integer_valued = false;
-        break;
-      case AggregateKind::kGroupCount:
-        expected = estimator->EstimateGroupByWithUncertainty(
-            request.query)[request.group_value];
-        break;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        const ServedRequest& request = requests[i];
+        EstimateWithVariance expected;
+        bool integer_valued = true;
+        switch (request.kind) {
+          case AggregateKind::kCount:
+            expected = estimator->EstimateWithUncertainty(request.query);
+            EXPECT_EQ(answers[i].estimate, estimator->Estimate(request.query));
+            break;
+          case AggregateKind::kSum:
+            expected = estimator->EstimateSumWithUncertainty(request.query);
+            break;
+          case AggregateKind::kAvg:
+            expected = estimator->EstimateAvgWithUncertainty(request.query);
+            integer_valued = false;
+            break;
+          case AggregateKind::kGroupCount:
+            expected = estimator->EstimateGroupByWithUncertainty(
+                request.query)[request.group_value];
+            break;
+        }
+        EXPECT_EQ(answers[i].estimate, expected.estimate);
+        const double sd = DeterministicSqrt(
+            expected.variance > 0.0 ? expected.variance : 0.0);
+        const double half = integer_valued ? z * sd + 0.5 : z * sd;
+        const double lo = expected.estimate - half;
+        EXPECT_EQ(answers[i].ci_lo, lo > 0.0 ? lo : 0.0);
+        EXPECT_EQ(answers[i].ci_hi, expected.estimate + half);
+      }
     }
-    EXPECT_EQ(answers[i].estimate, expected.estimate);
-    const double sd =
-        DeterministicSqrt(expected.variance > 0.0 ? expected.variance : 0.0);
-    const double half = integer_valued ? z * sd + 0.5 : z * sd;
-    const double lo = expected.estimate - half;
-    EXPECT_EQ(answers[i].ci_lo, lo > 0.0 ? lo : 0.0);
-    EXPECT_EQ(answers[i].ci_hi, expected.estimate + half);
   }
 }
 

@@ -58,12 +58,7 @@ inline GeneralizedTable ModKPublication(
   return std::move(published).value();
 }
 
-inline std::shared_ptr<const Estimator> MakeEstimatorOrDie(
-    const PublishedView& view) {
-  auto estimator = MakeEstimator(view);
-  BETALIKE_CHECK(estimator.ok()) << estimator.status().ToString();
-  return std::move(estimator).value();
-}
+using bench::MakeEstimatorOrDie;
 
 // The estimator of a BUREL release of `table` at budget `beta`.
 inline std::shared_ptr<const Estimator> BurelEstimator(
