@@ -57,8 +57,10 @@ Result<GeneralizedTable> AnonymizeWithAnatomy(
 // group for the sizes. An SA range [lo, hi] is then one contiguous run
 // of entries: ForEachEntryInRange reads only the entries whose value
 // lies in the range, and the Figure 9 estimator scatters their moments
-// into per-group scratch, so an answer reads no ST entry outside its
-// range.
+// into per-group scratch records, so an answer reads no ST entry
+// outside its range. Those records are uint16_t when every group's
+// size and full-domain Σ v² are at most 65535 (AnatomizedMomentBytes),
+// which with SA values >= 0 bounds every range's moments.
 class AnatomizedTable {
  public:
   // Accepts any partition of the source rows, including groups that

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -223,39 +225,87 @@ class GeneralizedEstimator final : public Estimator {
   int32_t num_values_;
 };
 
+// The moments an Anatomy per-group record holds, by what the answer
+// reads: the in-range count (kCount), then Σ v and Σ v² (kSum).
+enum MomentSet { kCount = 1, kSum = 2 };
+constexpr int Width(int moments) {
+  return (moments & kCount ? 1 : 0) + (moments & kSum ? 2 : 0);
+}
+
+// Adds every ST entry of `view` with a value in [sa_lo, sa_hi] to its
+// group's record, moments[Width(kMoments) * g ...]. A record of M
+// holds every in-range moment when it holds the full-domain ones: SA
+// values are >= 0, so each in-range count, Σ v and Σ v² is at most
+// the group's size, full-domain Σ v and full-domain Σ v².
+template <int kMoments, typename M>
+void ScatterMoments(const AnatomizedTable& view, int32_t sa_lo, int32_t sa_hi,
+                    M* moments) {
+  view.ForEachEntryInRange(sa_lo, sa_hi, [moments](int32_t v, int32_t g) {
+    M* m = moments + Width(kMoments) * int64_t{g};
+    if (kMoments & kCount) ++m[0];
+    if (kMoments & kSum) {
+      M* sums = m + Width(kMoments & kCount);
+      const M value = static_cast<M>(v);
+      sums[0] = static_cast<M>(sums[0] + value);
+      sums[1] = static_cast<M>(sums[1] + value * value);
+    }
+  });
+}
+
+// Every group's full-domain record {Σ v, Σ v²} in int64.
+std::vector<int64_t> FullDomainMoments(const AnatomizedTable& view) {
+  std::vector<int64_t> moments(Width(kSum) * view.num_groups(), 0);
+  ScatterMoments<kSum>(view, 0, view.source().sa_spec().num_values - 1,
+                       moments.data());
+  return moments;
+}
+
+// True iff every group's size and full-domain Σ v and Σ v² are at most
+// 65535, so that uint16_t holds every moment an answer reads.
+bool MomentsFitUint16(const AnatomizedTable& view,
+                      const std::vector<int64_t>& full_domain) {
+  constexpr int64_t kMax = std::numeric_limits<uint16_t>::max();
+  for (size_t g = 0; g < view.num_groups(); ++g) {
+    if (view.group_size(g) > kMax || full_domain[2 * g] > kMax ||
+        full_domain[2 * g + 1] > kMax) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Exact QI values, group-level SA values: rows matching the QI
 // predicates are selected exactly (the QIT publishes exact values) and
 // each contributes its group's share of the SA predicate.
 //
-// Every answer is one visit of the QI-matching rows, each adding terms
-// from its group's SA moments. A query with an SA predicate first
-// scatters the count, Σ v and Σ v² of only the ST entries in its range
-// (the ST is value-major, so they are one contiguous run) into
-// per-thread per-group scratch; each visited row then derives its
-// terms from its group's integers and size with the expressions a
-// per-group record would hold — with contraction off, the same bits.
-// The visit's only reads by group are those scratch records: group
-// sizes are copied per row at construction and read in row order. The
-// full-domain SUM records do not depend on the query, so they too are
-// built once, at construction.
+// Every answer but the no-SA COUNT is one visit of the QI-matching
+// rows, each adding terms from its group's record of SA moments and a
+// per-row copy of its group's size, with the expressions a per-group
+// record of doubles would hold — with contraction off, the same bits.
+// A query with an SA predicate first scatters the count, Σ v and Σ v²
+// of only the ST entries in its range (the ST is value-major, so they
+// are one contiguous run) into per-thread per-group scratch; one
+// without reads the full-domain {Σ v, Σ v²} records built at
+// construction. The moment type M is the narrowest the publication
+// bounds (MakeAnatomizedEstimator): uint16_t, 2 / 4 / 6 B per group
+// for a COUNT / SUM / fused record, when every group's size and
+// full-domain Σ v and Σ v² fit, int64_t otherwise. Each integer
+// converts to the same double at either width, so the answers are the
+// same bits; the narrow records keep the visit's random reads by group
+// in L2.
+template <typename M>
 class AnatomizedEstimator final : public Estimator {
  public:
-  explicit AnatomizedEstimator(std::shared_ptr<const AnatomizedTable> view)
-      : view_(std::move(view)) {
-    const size_t num_groups = view_->num_groups();
-    std::vector<int64_t> moments(Width(kSum) * num_groups, 0);
-    Scatter<kSum>(0, sa_num_values() - 1, moments.data());
-    full_domain_sum_.reserve(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      BETALIKE_CHECK(view_->group_size(g) <= INT32_MAX)
-          << "group " << g << " of " << view_->group_size(g) << " rows";
-      full_domain_sum_.push_back(SumTerms(moments[2 * g], moments[2 * g + 1],
-                                          view_->group_size(g)));
-    }
+  // `full_domain` holds every group's full-domain {Σ v, Σ v²}
+  // (FullDomainMoments); they and the group sizes must fit in M.
+  AnatomizedEstimator(std::shared_ptr<const AnatomizedTable> view,
+                      const std::vector<int64_t>& full_domain)
+      : view_(std::move(view)),
+        full_domain_(full_domain.begin(), full_domain.end()) {
     row_group_size_.reserve(static_cast<size_t>(view_->num_rows()));
     for (int64_t row = 0; row < view_->num_rows(); ++row) {
       row_group_size_.push_back(
-          static_cast<int32_t>(view_->group_size(view_->group_of_row(row))));
+          static_cast<M>(view_->group_size(view_->group_of_row(row))));
     }
   }
 
@@ -281,7 +331,8 @@ class AnatomizedEstimator final : public Estimator {
       return out;
     }
     return VisitWithMoments<EstimateWithVariance, kCount>(
-        query, [](const int64_t* m, int64_t size, EstimateWithVariance* out) {
+        query, RangeMoments<kCount>(query),
+        [](const M* m, M size, EstimateWithVariance* out) {
           AddCount(FractionOf(m[0], size), out);
         });
   }
@@ -293,14 +344,10 @@ class AnatomizedEstimator final : public Estimator {
   // the same histogram moments.
   EstimateWithVariance EstimateSumWithUncertainty(
       const AggregateQuery& query) const override {
-    if (!query.has_sa_predicate()) {
-      return VisitFullDomain<EstimateWithVariance>(
-          query, [](const EstimateWithVariance& r, EstimateWithVariance* out) {
-            AddSum(r, out);
-          });
-    }
+    const M* moments = query.has_sa_predicate() ? RangeMoments<kSum>(query)
+                                                : full_domain_.data();
     return VisitWithMoments<EstimateWithVariance, kSum>(
-        query, [](const int64_t* m, int64_t size, EstimateWithVariance* out) {
+        query, moments, [](const M* m, M size, EstimateWithVariance* out) {
           AddSum(SumTerms(m[0], m[1], size), out);
         });
   }
@@ -313,37 +360,22 @@ class AnatomizedEstimator final : public Estimator {
   CountAndSum EstimateCountAndSumWithUncertainty(
       const AggregateQuery& query) const override {
     if (!query.has_sa_predicate()) {
-      return VisitFullDomain<CountAndSum>(
-          query, [](const EstimateWithVariance& r, CountAndSum* out) {
+      return VisitWithMoments<CountAndSum, kSum>(
+          query, full_domain_.data(),
+          [](const M* m, M size, CountAndSum* out) {
             out->count.estimate += 1.0;
-            AddSum(r, &out->sum);
+            AddSum(SumTerms(m[0], m[1], size), &out->sum);
           });
     }
     return VisitWithMoments<CountAndSum, kCount | kSum>(
-        query, [](const int64_t* m, int64_t size, CountAndSum* out) {
+        query, RangeMoments<kCount | kSum>(query),
+        [](const M* m, M size, CountAndSum* out) {
           AddCount(FractionOf(m[0], size), &out->count);
           AddSum(SumTerms(m[1], m[2], size), &out->sum);
         });
   }
 
  private:
-  // The moments a per-group scratch record holds, by what the answer
-  // reads: the in-range count (kCount), then Σ v and Σ v² (kSum) — 8 /
-  // 16 / 24 B per group for COUNT / SUM / both.
-  enum MomentSet { kCount = 1, kSum = 2 };
-  static constexpr int Width(int moments) {
-    return (moments & kCount ? 1 : 0) + (moments & kSum ? 2 : 0);
-  }
-  template <int kMoments>
-  static void AddEntry(int64_t value, int64_t* m) {
-    if (kMoments & kCount) ++m[0];
-    if (kMoments & kSum) {
-      int64_t* sums = m + Width(kMoments & kCount);
-      sums[0] += value;
-      sums[1] += value * value;
-    }
-  }
-
   static double FractionOf(int64_t count, int64_t size) {
     return static_cast<double>(count) / static_cast<double>(size);
   }
@@ -378,54 +410,39 @@ class AnatomizedEstimator final : public Estimator {
 
   // The calling thread's per-group scratch with its first
   // `width * num_groups` entries zeroed. There is one buffer per thread
-  // (the estimator is shared by the serving threads), reused by every
-  // answer the thread makes. It is sized for the widest record, and
-  // the old buffer is freed before a larger one is made, so it never
-  // holds two buffers at once.
-  static int64_t* ZeroedScratch(size_t num_groups, int64_t width) {
-    thread_local std::vector<int64_t> scratch;
+  // and moment type (the estimator is shared by the serving threads),
+  // reused by every answer the thread makes at that width. It is sized
+  // for the widest record, and the old buffer is freed before a larger
+  // one is made, so it never holds two buffers at once.
+  static M* ZeroedScratch(size_t num_groups, int64_t width) {
+    thread_local std::vector<M> scratch;
     const size_t widest = Width(kCount | kSum) * num_groups;
     if (scratch.size() < widest) {
-      std::vector<int64_t>().swap(scratch);
+      std::vector<M>().swap(scratch);
       scratch.resize(widest);
     }
-    std::fill_n(scratch.data(), width * num_groups, 0);
+    std::fill_n(scratch.data(), width * num_groups, M{0});
     return scratch.data();
   }
 
-  // Adds every ST entry with a value in [sa_lo, sa_hi] to its group's
-  // record, moments[Width(kMoments) * g ...].
+  // The query's SA-range records, scattered into this thread's scratch.
   template <int kMoments>
-  void Scatter(int32_t sa_lo, int32_t sa_hi, int64_t* moments) const {
-    view_->ForEachEntryInRange(sa_lo, sa_hi, [moments](int32_t v, int32_t g) {
-      AddEntry<kMoments>(v, moments + Width(kMoments) * int64_t{g});
-    });
+  const M* RangeMoments(const AggregateQuery& query) const {
+    M* moments = ZeroedScratch(view_->num_groups(), Width(kMoments));
+    ScatterMoments<kMoments>(*view_, query.sa_lo, query.sa_hi, moments);
+    return moments;
   }
 
-  // add(full_domain_sum_[g], &out) for each row matching the query's QI
-  // predicates, g its group, in ascending row order.
-  template <typename Out, typename Add>
-  Out VisitFullDomain(const AggregateQuery& query, Add add) const {
-    const AnatomizedTable& view = *view_;
-    const EstimateWithVariance* records = full_domain_sum_.data();
-    Out out;
-    ForEachMatchingRow(view.num_rows(), QiRanges(query), [&](int64_t row) {
-      add(records[view.group_of_row(row)], &out);
-    });
-    return out;
-  }
-
-  // Scatters the query's SA-range moments into this thread's scratch,
-  // then calls add(moments[g], size of g, &out) for each row matching
-  // the query's QI predicates, g its group, in ascending row order.
+  // Calls add(moments + Width(kMoments) * g, size of g, &out) for each
+  // row matching the query's QI predicates, g its group, in ascending
+  // row order.
   template <typename Out, int kMoments, typename Add>
-  Out VisitWithMoments(const AggregateQuery& query, Add add) const {
+  Out VisitWithMoments(const AggregateQuery& query, const M* moments,
+                       Add add) const {
     const AnatomizedTable& view = *view_;
     constexpr int64_t kWidth = Width(kMoments);
-    int64_t* moments = ZeroedScratch(view.num_groups(), kWidth);
-    Scatter<kMoments>(query.sa_lo, query.sa_hi, moments);
+    const M* sizes = row_group_size_.data();
     Out out;
-    const int32_t* sizes = row_group_size_.data();
     ForEachMatchingRow(view.num_rows(), QiRanges(query), [&](int64_t row) {
       add(moments + kWidth * view.group_of_row(row), sizes[row], &out);
     });
@@ -433,13 +450,25 @@ class AnatomizedEstimator final : public Estimator {
   }
 
   std::shared_ptr<const AnatomizedTable> view_;
-  // Per group: the {mean, variance} a row adds to a SUM without an SA
-  // predicate (16 B per group).
-  std::vector<EstimateWithVariance> full_domain_sum_;
-  // Per row: the size of its group (4 B per row), so the row visit
-  // reads sizes in row order instead of gathering them by group.
-  std::vector<int32_t> row_group_size_;
+  // Per group: its full-domain {Σ v, Σ v²}, what a SUM without an SA
+  // predicate reads.
+  std::vector<M> full_domain_;
+  // Per row: the size of its group, so the row visit reads sizes in row
+  // order instead of gathering them by group.
+  std::vector<M> row_group_size_;
 };
+
+// Anatomy's estimator at the narrowest moment width `view` bounds.
+std::unique_ptr<Estimator> MakeAnatomizedEstimator(
+    std::shared_ptr<const AnatomizedTable> view) {
+  const std::vector<int64_t> full_domain = FullDomainMoments(*view);
+  if (MomentsFitUint16(*view, full_domain)) {
+    return std::make_unique<AnatomizedEstimator<uint16_t>>(std::move(view),
+                                                           full_domain);
+  }
+  return std::make_unique<AnatomizedEstimator<int64_t>>(std::move(view),
+                                                        full_domain);
+}
 
 // Uniform spread over the boxes of a randomized-response view, with
 // each class's SA counts reconstructed from the perturbed ones —
@@ -592,8 +621,7 @@ Result<std::unique_ptr<Estimator>> MakeEstimator(const PublishedView& view) {
         return Status::FailedPrecondition(
             "anatomized publication has no groups");
       }
-      return std::unique_ptr<Estimator>(
-          new AnatomizedEstimator(view.shared_anatomized()));
+      return MakeAnatomizedEstimator(view.shared_anatomized());
     case PublishedView::Kind::kPerturbed: {
       const double retention = view.perturbed().retention;
       if (!(retention > 0.0 && retention <= 1.0)) {
@@ -609,6 +637,10 @@ Result<std::unique_ptr<Estimator>> MakeEstimator(const PublishedView& view) {
     }
   }
   return Status::Internal("unreachable PublishedView kind");
+}
+
+int AnatomizedMomentBytes(const AnatomizedTable& view) {
+  return MomentsFitUint16(view, FullDomainMoments(view)) ? 2 : 8;
 }
 
 WorkloadError EvaluateWorkloadWithTruth(const std::vector<int64_t>& truth,

@@ -14,8 +14,10 @@
 //     AnatomizedTable::ForEachEntryInRange) into per-thread per-group
 //     scratch, then visits the QI-matching rows once; no answer makes
 //     a pass over all groups. A COUNT without an SA predicate is the
-//     exact matching-row count, and a SUM without one reads per-group
-//     records precomputed at construction.
+//     exact matching-row count, and a SUM without one visits the rows
+//     with full-domain records precomputed at construction. Records
+//     are uint16_t when the publication bounds every moment below
+//     2^16 (AnatomizedMomentBytes), int64_t otherwise.
 //   - Perturbed publications: uniform spread over the boxes plus
 //     reconstruction — the randomized response is inverted in
 //     expectation before counting (Figure 9).
@@ -151,6 +153,14 @@ class Estimator {
 // degenerate publication (no equivalence classes / groups, or a
 // perturbed view whose retention lies outside (0, 1]).
 Result<std::unique_ptr<Estimator>> MakeEstimator(const PublishedView& view);
+
+// The bytes per moment of the estimator MakeEstimator builds for an
+// Anatomy view: 2 (uint16_t) when every group's size and full-domain
+// Σ v and Σ v² are at most 65535 — SA values are >= 0, so these bound
+// every SA range's count, Σ v and Σ v² — and 8 (int64_t) otherwise.
+// The width is a property of the publication; answers are the same
+// bits at either.
+int AnatomizedMomentBytes(const AnatomizedTable& view);
 
 // Accuracy aggregate of one (publication, workload) evaluation. Errors
 // are percentages: 100 * |estimate - truth| / max(truth, 1), with the

@@ -157,6 +157,22 @@ inline EstimateWithVariance AnatomizedSum(const AnatomizedTable& view,
   return out;
 }
 
+// Anatomy AVG: the SUM above over the COUNT above, with the
+// delta-method variance (varS + avg²·varC) / C²; {0, 0} for an empty
+// selection.
+inline EstimateWithVariance AnatomizedAvg(const AnatomizedTable& view,
+                                          const AggregateQuery& query) {
+  const EstimateWithVariance count = AnatomizedCount(view, query);
+  const EstimateWithVariance sum = AnatomizedSum(view, query);
+  if (count.estimate <= 0.0) return {};
+  EstimateWithVariance out;
+  out.estimate = sum.estimate / count.estimate;
+  out.variance =
+      (sum.variance + out.estimate * out.estimate * count.variance) /
+      (count.estimate * count.estimate);
+  return out;
+}
+
 // Perturbed COUNT: uniform spread over the view's boxes, each class's
 // SA range count reconstructed from the perturbed one —
 // ĉ = (ñ - n (1 - ρ) w / |SA|) / ρ clamped to [0, n].

@@ -655,6 +655,183 @@ TEST(EstimatorInterface, AnatomizedAnswersMatchRowOracleBitwise) {
   }
 }
 
+// The SA ranges of every kind AnatomizedAnswersMatchRowOracleBitwise
+// asks: none (the {0, -1} default), interior, inverted (also none),
+// out of the domain on either side, the full domain.
+std::vector<std::pair<int32_t, int32_t>> SaRangeKinds(int32_t num_values) {
+  return {{0, -1},
+          {num_values / 4, num_values / 2},
+          {num_values / 2, num_values / 4},
+          {num_values, num_values + 5},
+          {-6, -1},
+          {0, num_values - 1}};
+}
+
+// An Anatomy estimator and the view it was built from.
+struct AnatomizedPair {
+  const Estimator* estimator;
+  const AnatomizedTable* view;
+};
+
+// Checks COUNT, SUM, AVG and the fused COUNT+SUM hook of each pair's
+// estimator against its view's row oracle, bitwise, at `query`. The
+// answers alternate between the pairs kind by kind.
+void ExpectAnatomizedOracleAnswers(const std::vector<AnatomizedPair>& pairs,
+                                   const AggregateQuery& query) {
+  std::vector<EstimateWithVariance> count;
+  std::vector<EstimateWithVariance> sum;
+  std::vector<EstimateWithVariance> avg;
+  for (const AnatomizedPair& p : pairs) {
+    count.push_back(oracle::AnatomizedCount(*p.view, query));
+    sum.push_back(oracle::AnatomizedSum(*p.view, query));
+    avg.push_back(oracle::AnatomizedAvg(*p.view, query));
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ExpectSameAnswer(pairs[i].estimator->EstimateWithUncertainty(query),
+                     count[i]);
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ExpectSameAnswer(pairs[i].estimator->EstimateSumWithUncertainty(query),
+                     sum[i]);
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ExpectSameAnswer(pairs[i].estimator->EstimateAvgWithUncertainty(query),
+                     avg[i]);
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const CountAndSum both =
+        pairs[i].estimator->EstimateCountAndSumWithUncertainty(query);
+    ExpectSameAnswer(both.count, count[i]);
+    ExpectSameAnswer(both.sum, sum[i]);
+  }
+}
+
+// A table holding `groups` one after another — QI A the row index, QI
+// B the row index mod 7, SA the group's listed values — and the
+// grouping that publishes them.
+GeneralizedTable HandGrouping(const std::vector<std::vector<int32_t>>& groups,
+                              int32_t num_values) {
+  std::vector<int32_t> a;
+  std::vector<int32_t> b;
+  std::vector<int32_t> sa;
+  std::vector<std::vector<int64_t>> rows;
+  for (const std::vector<int32_t>& group : groups) {
+    rows.emplace_back();
+    for (int32_t v : group) {
+      const int32_t row = static_cast<int32_t>(a.size());
+      rows.back().push_back(row);
+      a.push_back(row);
+      b.push_back(row % 7);
+      sa.push_back(v);
+    }
+  }
+  const int32_t num_rows = static_cast<int32_t>(a.size());
+  auto table = Table::Create({{"A", 0, num_rows - 1}, {"B", 0, 6}},
+                             {"SA", num_values}, {a, b}, sa);
+  BETALIKE_CHECK(table.ok()) << table.status().ToString();
+  auto published = GeneralizedTable::Create(
+      std::make_shared<Table>(std::move(table).value()), std::move(rows));
+  BETALIKE_CHECK(published.ok()) << published.status().ToString();
+  return std::move(published).value();
+}
+
+// A group of `size` rows whose SA values have full-domain Σ v² far
+// below 2^16: every 1000th row holds 20, every other third row 1, the
+// rest 0 (Σ v² 48223 at 65535 rows).
+std::vector<int32_t> MostlyZeroGroup(int32_t size) {
+  std::vector<int32_t> values;
+  for (int32_t i = 0; i < size; ++i) {
+    values.push_back(i % 1000 == 0 ? 20 : (i % 3 == 0 ? 1 : 0));
+  }
+  return values;
+}
+
+// The moment width flips exactly where a group's full-domain Σ v² or
+// its size passes 65535, and on both sides of the flip every answer is
+// the oracle's bits. 27 rows of 49 hold Σ v² 64827; 26, 4 and 4 bring
+// it to 65535, 26, 5, 2 and 2 to 65536 (Σ v stays under 1400). A
+// group of 65535 mostly-zero rows is bounded by its size alone, one of
+// 65536 is not.
+TEST(EstimatorInterface, AnatomizedMomentWidthBoundaryIsExact) {
+  constexpr int32_t kValues = 50;
+  const std::vector<int32_t> forty_nines(27, 49);
+  const std::vector<std::vector<int32_t>> small_groups = {
+      {0, 12, 25, 49}, {3, 13, 30}, {20}, {1, 1, 48, 47, 24}};
+  struct Case {
+    std::vector<int32_t> largest;
+    int expected_bytes;
+  };
+  std::vector<Case> cases;
+  for (const auto& [tail, bytes] :
+       {std::pair<std::vector<int32_t>, int>{{26, 4, 4}, 2},
+        std::pair<std::vector<int32_t>, int>{{26, 5, 2, 2}, 8}}) {
+    std::vector<int32_t> largest = forty_nines;
+    largest.insert(largest.end(), tail.begin(), tail.end());
+    cases.push_back({largest, bytes});
+  }
+  cases.push_back({MostlyZeroGroup(65535), 2});
+  cases.push_back({MostlyZeroGroup(65536), 8});
+
+  for (const Case& c : cases) {
+    std::vector<std::vector<int32_t>> groups = small_groups;
+    groups.insert(groups.begin() + 2, c.largest);
+    const AnatomizedTable view =
+        AnatomizedTable::FromGrouping(HandGrouping(groups, kValues));
+    EXPECT_EQ(AnatomizedMomentBytes(view), c.expected_bytes);
+    const auto estimator = MakeEstimatorOrDie(PublishedView::Anatomized(view));
+
+    WorkloadOptions options;
+    options.num_queries = 8;
+    options.lambda = 1;
+    options.seed = 113;
+    auto workload = GenerateWorkload(view.source().schema(), options);
+    ASSERT_OK(workload);
+    workload->push_back(AggregateQuery{});  // every row
+    for (AggregateQuery query : *workload) {
+      for (const auto& [lo, hi] : SaRangeKinds(kValues)) {
+        query.sa_lo = lo;
+        query.sa_hi = hi;
+        ExpectAnatomizedOracleAnswers({{estimator.get(), &view}}, query);
+      }
+    }
+  }
+}
+
+// One thread's answers alternate between a uint16 estimator (Anatomy
+// l=4, ~500 groups) and an int64 one (mod 6, 6 groups of ~333 rows,
+// whose Σ v² passes 65535 from ~1300 rows up), so each width's
+// per-thread scratch is reused after the other width answered and
+// after estimators of other group counts: every answer is the oracle's.
+TEST(EstimatorInterface, AnatomizedScratchSharedAcrossWidths) {
+  const auto table = SmallCensus(2000);
+  AnatomyOptions anatomy;
+  anatomy.l = 4;
+  auto anatomy_groups = AnonymizeWithAnatomy(table, anatomy);
+  ASSERT_OK(anatomy_groups);
+  const AnatomizedTable views[] = {
+      AnatomizedTable::FromGrouping(*anatomy_groups),
+      AnatomizedTable::FromGrouping(ModKPublication(table, 6))};
+  EXPECT_EQ(AnatomizedMomentBytes(views[0]), 2);
+  EXPECT_EQ(AnatomizedMomentBytes(views[1]), 8);
+  ASSERT_TRUE(views[0].num_groups() != views[1].num_groups());
+  const std::shared_ptr<const Estimator> estimators[] = {
+      MakeEstimatorOrDie(PublishedView::Anatomized(views[0])),
+      MakeEstimatorOrDie(PublishedView::Anatomized(views[1]))};
+
+  std::vector<AggregateQuery> workload =
+      MixedWorkload(table->schema(), true, 109);
+  workload.resize(40);
+  for (AggregateQuery query : workload) {
+    for (const auto& [lo, hi] : SaRangeKinds(table->sa_spec().num_values)) {
+      query.sa_lo = lo;
+      query.sa_hi = hi;
+      ExpectAnatomizedOracleAnswers({{estimators[0].get(), &views[0]},
+                                     {estimators[1].get(), &views[1]}},
+                                    query);
+    }
+  }
+}
+
 TEST(EstimatorInterface, PerturbedMatchesScanningOracleExactly) {
   const auto table = SmallCensus(1200);
   const GeneralizedTable published = ModKPublication(table, 5);

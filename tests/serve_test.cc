@@ -44,6 +44,7 @@
 #include "serve/latency_histogram.h"
 #include "serve/query_server.h"
 #include "tests/betalike_test.h"
+#include "tests/estimator_oracle.h"
 #include "tests/test_tables.h"
 
 namespace betalike {
@@ -560,6 +561,83 @@ TEST(QueryServer, MixedBatchMatchesEstimatorMethods) {
         const double lo = expected.estimate - half;
         EXPECT_EQ(answers[i].ci_lo, lo > 0.0 ? lo : 0.0);
         EXPECT_EQ(answers[i].ci_hi, expected.estimate + half);
+      }
+    }
+  }
+}
+
+TEST(QueryServer, AnatomizedWidthsShareWorkerScratch) {
+  // One server alternates batches between a uint16 Anatomy estimator
+  // (l=4, ~500 groups) and an int64 one (mod 6, 6 groups), at 1 worker
+  // and at AvailableConcurrency() workers, so every worker's per-thread
+  // scratch of either width is reused after the other width and after
+  // another group count. Every served answer is the row oracle's.
+  const auto table = bench::MakeCensus(2000, /*qi_prefix=*/5);
+  AnatomyOptions anatomy;
+  anatomy.l = 4;
+  auto anatomy_groups = AnonymizeWithAnatomy(table, anatomy);
+  ASSERT_OK(anatomy_groups);
+  const AnatomizedTable views[] = {
+      AnatomizedTable::FromGrouping(*anatomy_groups),
+      AnatomizedTable::FromGrouping(ModKPublication(table, 6))};
+  ASSERT_EQ(AnatomizedMomentBytes(views[0]), 2);
+  ASSERT_EQ(AnatomizedMomentBytes(views[1]), 8);
+  const std::shared_ptr<const Estimator> estimators[] = {
+      MakeEstimatorOrDie(PublishedView::Anatomized(views[0])),
+      MakeEstimatorOrDie(PublishedView::Anatomized(views[1]))};
+
+  WorkloadOptions options;
+  options.num_queries = 12;
+  options.lambda = 2;
+  options.include_sa = true;
+  options.seed = 41;
+  auto workload = GenerateWorkload(table->schema(), options);
+  ASSERT_OK(workload);
+  const std::vector<ServedRequest> requests =
+      MixedRequests(*workload, table->sa_spec().num_values);
+
+  for (int workers : {1, AvailableConcurrency()}) {
+    QueryServerOptions server_options;
+    server_options.num_workers = workers;
+    auto server = QueryServer::Create(server_options);
+    ASSERT_OK(server);
+    const double z = *NormalCriticalValue((*server)->confidence());
+    for (int round = 0; round < 4; ++round) {
+      const int i = round % 2;
+      const std::vector<ServedAnswer> answers =
+          (*server)->AnswerBatch(estimators[i], requests).value();
+      ASSERT_EQ(answers.size(), requests.size());
+      for (size_t r = 0; r < requests.size(); ++r) {
+        const ServedRequest& request = requests[r];
+        EstimateWithVariance expected;
+        bool integer_valued = true;
+        switch (request.kind) {
+          case AggregateKind::kCount:
+            expected = oracle::AnatomizedCount(views[i], request.query);
+            break;
+          case AggregateKind::kSum:
+            expected = oracle::AnatomizedSum(views[i], request.query);
+            break;
+          case AggregateKind::kAvg:
+            expected = oracle::AnatomizedAvg(views[i], request.query);
+            integer_valued = false;
+            break;
+          case AggregateKind::kGroupCount: {
+            AggregateQuery point = request.query;
+            point.sa_lo = request.group_value;
+            point.sa_hi = request.group_value;
+            expected = oracle::AnatomizedCount(views[i], point);
+            break;
+          }
+        }
+        EXPECT_TRUE(answers[r].status == AnswerStatus::kOk);
+        EXPECT_EQ(answers[r].estimate, expected.estimate);
+        const double sd = DeterministicSqrt(
+            expected.variance > 0.0 ? expected.variance : 0.0);
+        const double half = integer_valued ? z * sd + 0.5 : z * sd;
+        const double lo = expected.estimate - half;
+        EXPECT_EQ(answers[r].ci_lo, lo > 0.0 ? lo : 0.0);
+        EXPECT_EQ(answers[r].ci_hi, expected.estimate + half);
       }
     }
   }
