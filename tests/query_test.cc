@@ -754,30 +754,24 @@ std::vector<int32_t> MostlyZeroGroup(int32_t size) {
 // 65536 is not.
 TEST(EstimatorInterface, AnatomizedMomentWidthBoundaryIsExact) {
   constexpr int32_t kValues = 50;
-  const std::vector<int32_t> forty_nines(27, 49);
   const std::vector<std::vector<int32_t>> small_groups = {
       {0, 12, 25, 49}, {3, 13, 30}, {20}, {1, 1, 48, 47, 24}};
-  struct Case {
-    std::vector<int32_t> largest;
-    int expected_bytes;
-  };
-  std::vector<Case> cases;
-  for (const auto& [tail, bytes] :
-       {std::pair<std::vector<int32_t>, int>{{26, 4, 4}, 2},
-        std::pair<std::vector<int32_t>, int>{{26, 5, 2, 2}, 8}}) {
-    std::vector<int32_t> largest = forty_nines;
-    largest.insert(largest.end(), tail.begin(), tail.end());
-    cases.push_back({largest, bytes});
-  }
-  cases.push_back({MostlyZeroGroup(65535), 2});
-  cases.push_back({MostlyZeroGroup(65536), 8});
+  std::vector<int32_t> narrow(27, 49);
+  narrow.insert(narrow.end(), {26, 4, 4});
+  std::vector<int32_t> wide(27, 49);
+  wide.insert(wide.end(), {26, 5, 2, 2});
+  const std::pair<std::vector<int32_t>, int> cases[] = {
+      {narrow, 2},
+      {wide, 8},
+      {MostlyZeroGroup(65535), 2},
+      {MostlyZeroGroup(65536), 8}};
 
-  for (const Case& c : cases) {
+  for (const auto& [largest, bytes] : cases) {
     std::vector<std::vector<int32_t>> groups = small_groups;
-    groups.insert(groups.begin() + 2, c.largest);
+    groups.insert(groups.begin() + 2, largest);
     const AnatomizedTable view =
         AnatomizedTable::FromGrouping(HandGrouping(groups, kValues));
-    EXPECT_EQ(AnatomizedMomentBytes(view), c.expected_bytes);
+    EXPECT_EQ(AnatomizedMomentBytes(view), bytes);
     const auto estimator = MakeEstimatorOrDie(PublishedView::Anatomized(view));
 
     WorkloadOptions options;
